@@ -2,9 +2,36 @@ package chaos
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
+
+// report is what every soak family's report offers.
+type report interface {
+	WriteJSON(io.Writer) error
+	Print(io.Writer)
+}
+
+// checkDigests pins a report's WriteJSON and Print bytes to SHA-256
+// digests recorded from a known-good build, so a change to the sweep
+// plumbing cannot silently change an artifact.
+func checkDigests(t *testing.T, rep report, wantJSON, wantPrint string) {
+	t.Helper()
+	var j, p bytes.Buffer
+	if err := rep.WriteJSON(&j); err != nil {
+		t.Fatal(err)
+	}
+	rep.Print(&p)
+	if got := fmt.Sprintf("%x", sha256.Sum256(j.Bytes())); got != wantJSON {
+		t.Errorf("WriteJSON digest %s, want %s:\n%s", got, wantJSON, j.String())
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(p.Bytes())); got != wantPrint {
+		t.Errorf("Print digest %s, want %s:\n%s", got, wantPrint, p.String())
+	}
+}
 
 // soakSeeds returns the test's seed budget: a handful under -short, a
 // larger fixed sweep otherwise. Fixed (not time-derived) so CI failures
@@ -43,7 +70,11 @@ func TestChaosSoak(t *testing.T) {
 func TestSoakDeterministicReport(t *testing.T) {
 	cfg := Config{Seeds: []uint64{3, 7}}
 	var a, b bytes.Buffer
-	if err := Soak(cfg).WriteJSON(&a); err != nil {
+	rep := Soak(cfg)
+	checkDigests(t, rep,
+		"1ea47b8e30e84870a4af2c8d048f37f122d5a9a6f07d322b3fcfd428b30bf5d6",
+		"55c5901c1032cc011e5ccb3930d8ef270732be80acc5b10cfc25cd6b881b19d4")
+	if err := rep.WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
 	if err := Soak(cfg).WriteJSON(&b); err != nil {

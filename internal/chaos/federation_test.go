@@ -29,6 +29,9 @@ func TestFederationSoakSmoke(t *testing.T) {
 	if rep.Violations != 0 {
 		t.Fatalf("%d violations", rep.Violations)
 	}
+	checkDigests(t, rep,
+		"3832de7961f865fe0c87d280b7845aad6aa358e790ee2477b2cb08e137e4dccd",
+		"1fc0330f0ce5c651b40aeeb4ea9b8756c954ee2bf300c762f770dce40f0d07d0")
 }
 
 // TestFederationGenDrawsMessageFaults pins the sweep's generator mix to

@@ -68,7 +68,11 @@ func TestPreemptionSoakIgnoreNotices(t *testing.T) {
 func TestPreemptReportDeterministic(t *testing.T) {
 	cfg := PreemptConfig{Seeds: []uint64{3}, Schedulers: []string{"rupam"}, SkipVerify: true}
 	var a, b bytes.Buffer
-	if err := PreemptionSoak(cfg).WriteJSON(&a); err != nil {
+	rep := PreemptionSoak(cfg)
+	checkDigests(t, rep,
+		"8a497ccd69e2b41b42555d0f4e649692cc059aad4b6199340cc5d1c2be18e97b",
+		"a9172db8b37954befb19e761045329a02df9644e32a6ba55babbebd0a7364263")
+	if err := rep.WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
 	if err := PreemptionSoak(cfg).WriteJSON(&b); err != nil {

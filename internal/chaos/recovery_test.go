@@ -52,7 +52,11 @@ func seedCap(short bool) int {
 func TestRecoveryReportDeterministic(t *testing.T) {
 	cfg := Config{Seeds: []uint64{3, 7}, SkipVerify: true}
 	var a, b bytes.Buffer
-	if err := RecoverySoak(cfg).WriteJSON(&a); err != nil {
+	rep := RecoverySoak(cfg)
+	checkDigests(t, rep,
+		"b07b4debc5cd9287d41fa1bd1059ee909a8ac2239b18c061c6456f7d817cbdf2",
+		"fb139e1fc99a184b067d128dcc04d0546894414ea0f936f3ac3c9a94c3c5b22d")
+	if err := rep.WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
 	if err := RecoverySoak(cfg).WriteJSON(&b); err != nil {

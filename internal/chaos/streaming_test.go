@@ -51,4 +51,7 @@ func TestStreamingSoakArtifacts(t *testing.T) {
 		!strings.Contains(p.String(), "INVARIANT VIOLATIONS") {
 		t.Fatalf("printout missing verdict: %s", p.String())
 	}
+	checkDigests(t, rep,
+		"1b71b7f6eaed97cbe4b6d5fd2e627ba6887934ed186d43061ecfc1a0eb25e401",
+		"0598e415927dde5354ac670d45fa2ef26afd10f41a27916462f4efdb29f0b1cc")
 }

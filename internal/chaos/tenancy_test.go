@@ -77,7 +77,11 @@ func TestTenancySoakRoutesDriverCrash(t *testing.T) {
 func TestTenancyReportDeterministic(t *testing.T) {
 	cfg := TenancyConfig{Seeds: []uint64{4}, Schedulers: []string{"rupam"}, SkipVerify: true}
 	var a, b bytes.Buffer
-	if err := TenancySoak(cfg).WriteJSON(&a); err != nil {
+	rep := TenancySoak(cfg)
+	checkDigests(t, rep,
+		"82b068e397b7dec6bcefa6b9fc67f1d21f7c960d8a747359fd244e622624f1bf",
+		"6d6c1246b9e5520b736706c01cab37d2ae0b2bc32425616b9b4d5c984afc72c2")
+	if err := rep.WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
 	if err := TenancySoak(cfg).WriteJSON(&b); err != nil {
