@@ -4,57 +4,67 @@
 //
 // Usage:
 //
-//	rupam-bench [-experiment all|fig2|fig3|tab2|tab4|fig5|fig6|tab5|fig7|fig8|fig9|ablations|faults|chaos|recovery|tracesanity|tenancy|preempt|elastic|federation|streaming]
-//	            [-runs N] [-seed N] [-csv DIR] [-chaos-seeds N] [-json FILE]
+//	rupam-bench [-experiment all|tab2|tab4|fig2|fig3|fig5|fig6|tab5|fig7|fig8|fig9|ablations|faults|chaos|recovery|tracesanity|tenancy|preempt|elastic|federation|streaming|perf]
+//	            [-runs N] [-seed N] [-csv DIR] [-json FILE] [-chaos-seeds N]
 //	            [-tenancy-seeds N] [-tenancy-apps N] [-elastic-seeds N]
 //	            [-federation-seeds N] [-streaming-seeds N]
+//	            [-perf-scale smoke|standard] [-perf-reps N] [-perf-compare-unopt]
+//	            [-baseline FILE] [-threshold F] [-kernel-baseline FILE]
+//	            [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //
 // fig5 runs every workload under both schedulers -runs times (default 5,
 // as in the paper); everything else uses a single seeded run. With -csv,
 // the raw series behind Figures 2, 3 and 9 are also written as CSV files
-// into DIR for replotting. The faults experiment (PageRank under a seeded
-// fault plan, both schedulers), the chaos experiment (a -chaos-seeds
-// wide soak sweep with invariant checking; -json writes the full report),
-// the recovery experiment (a -chaos-seeds wide driver-crash sweep checking
-// each crashed-and-recovered run against its unfailed reference)
-// and the tracesanity experiment (traced runs under both schedulers with
-// trace-format, determinism, decision-audit and critical-path invariant
-// checks) must be requested explicitly — none is part of "all", which
-// stays fault-free and byte-reproducible. The tenancy experiment
-// (-tenancy-seeds open-loop arrival streams per scheduler on the shared
-// cluster, reporting per-pool throughput, latency percentiles and
-// slowdown versus isolated runs; -csv writes tenancy_pools.csv, -json the
-// full report, and any invariant violation exits nonzero) is likewise
-// explicit-only. So are the two elastic-substrate sweeps: the preempt
-// experiment (a -chaos-seeds wide preemption soak on the elastic instance
-// market, auditing the graceful-drain protocol end to end) and the elastic
-// experiment (the cost-vs-makespan Pareto sweep over acquisition policies
-// under identical reclamation plans; -csv writes elastic_pareto.csv, -json
-// the full report, and any frontier or invariant violation exits nonzero).
-// The federation experiment runs the two-phase placement protocol's
-// acceptance battery and a -federation-seeds wide soak (multi-driver runs
-// under driver crashes, agent crash/restart episodes and an unreliable
-// control plane; -json writes the report), then the 1/2/4-driver scaling
-// sweep with its agent-churn column gating makespan under agent faults
-// within a tuned envelope of fault-free (-csv writes federation_scale.csv
-// and federation_agent_churn.csv); it is likewise explicit-only. The streaming
-// experiment sweeps -streaming-seeds seeded operator topologies under
-// every placement policy on the heterogeneous cluster and gates on the
-// paper's ordering — RUPAM's demand-vector placement must sustain at
-// least the throughput of Storm-style resource-aware placement, which
-// must sustain at least blind round-robin (-csv writes
-// streaming_throughput.csv, -json the full report; a gate or invariant
-// violation exits nonzero). It is likewise explicit-only.
+// into DIR for replotting.
+//
+// "all" is the paper's tables and figures plus the ablations. It stays
+// fault-free and byte-reproducible, so every other experiment must be
+// requested explicitly:
+//
+//   - faults: PageRank under a seeded fault plan, both schedulers.
+//   - chaos: a -chaos-seeds wide soak sweep with invariant checking.
+//   - recovery: a -chaos-seeds wide driver-crash sweep checking each
+//     crashed-and-recovered run against its unfailed reference.
+//   - tracesanity: traced runs under both schedulers with trace-format,
+//     determinism, decision-audit and critical-path invariant checks.
+//   - tenancy: -tenancy-seeds open-loop arrival streams per scheduler on
+//     the shared cluster, reporting per-pool throughput, latency
+//     percentiles and slowdown versus isolated runs (-csv writes
+//     tenancy_pools.csv).
+//   - preempt: a -chaos-seeds wide preemption soak on the elastic instance
+//     market, auditing the graceful-drain protocol end to end.
+//   - elastic: the cost-vs-makespan Pareto sweep over acquisition policies
+//     under identical reclamation plans (-csv writes elastic_pareto.csv).
+//   - federation: the two-phase placement protocol's acceptance battery
+//     and a -federation-seeds wide soak (multi-driver runs under driver
+//     crashes, agent crash/restart episodes and an unreliable control
+//     plane), then the 1/2/4-driver scaling sweep with its agent-churn
+//     column gating makespan under agent faults within a tuned envelope
+//     of fault-free (-csv writes federation_scale.csv and
+//     federation_agent_churn.csv).
+//   - streaming: -streaming-seeds seeded operator topologies under every
+//     placement policy, gated on the paper's ordering: RUPAM's
+//     demand-vector placement must sustain at least the throughput of
+//     Storm-style resource-aware placement, which must sustain at least
+//     blind round-robin (-csv writes streaming_throughput.csv).
+//   - perf: the kernel-throughput battery, optionally gated against a
+//     -baseline BENCH artifact. It measures wall time, which no artifact
+//     may depend on.
+//
+// Every experiment but faults and tracesanity writes its full report to
+// -json, and every sweep, gate or invariant violation exits nonzero.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,493 +74,393 @@ import (
 	"rupam/internal/perf"
 )
 
-// experimentNames is every value -experiment accepts. "faults", "chaos"
-// and "perf" are the only ones outside "all": the first two inject
-// failures, so the default artifact sweep stays byte-identical run to
-// run, and "perf" measures wall time, which no artifact may depend on.
-var experimentNames = []string{
-	"all", "tab2", "tab4", "fig2", "fig3", "fig5", "fig6", "tab5",
-	"fig7", "fig8", "fig9", "ablations", "faults", "chaos", "recovery",
-	"tracesanity", "tenancy", "preempt", "elastic", "federation",
-	"streaming", "perf",
+// options carries the parsed flags an experiment reads.
+type options struct {
+	w              io.Writer
+	runs           int
+	seed           uint64
+	csvDir         string
+	jsonPath       string
+	chaosSeeds     int
+	tenancySeeds   int
+	tenancyApps    int
+	elasticSeeds   int
+	fedSeeds       int
+	streamingSeeds int
+	perfScale      string
+	perfReps       int
+	perfUnopt      bool
+	baselinePath   string
+	threshold      float64
+	kernelBaseline string
 }
 
-func main() {
-	exp := flag.String("experiment", "all", "experiment to regenerate: "+strings.Join(experimentNames, "|"))
-	runs := flag.Int("runs", 5, "repetitions for fig5")
-	seed := flag.Uint64("seed", 1, "base PRNG seed")
-	csvDir := flag.String("csv", "", "directory for raw CSV series (fig2, fig3, fig9)")
-	chaosSeeds := flag.Int("chaos-seeds", 20, "fault-plan seeds in the chaos sweep")
-	jsonPath := flag.String("json", "", "file for the chaos/tenancy sweep's JSON report")
-	tenancySeeds := flag.Int("tenancy-seeds", 5, "arrival-stream seeds in the tenancy sweep")
-	tenancyApps := flag.Int("tenancy-apps", 10, "application arrivals per tenancy stream")
-	elasticSeeds := flag.Int("elastic-seeds", 0, "arrival-stream seeds per policy in the elastic sweep (0 = default)")
-	fedSeeds := flag.Int("federation-seeds", 5, "fault-plan seeds in the federation soak")
-	streamingSeeds := flag.Int("streaming-seeds", 0, "topology seeds per placer in the streaming sweep (0 = default)")
-	perfScale := flag.String("perf-scale", "standard", "perf battery sweep size: smoke|standard")
-	perfReps := flag.Int("perf-reps", 3, "perf battery repetitions per case (fastest kept)")
-	perfUnopt := flag.Bool("perf-compare-unopt", true, "pair every perf case with a run under the unoptimized reference kernels")
-	baselinePath := flag.String("baseline", "", "BENCH JSON to compare the perf battery against (regressions fail the run)")
-	threshold := flag.Float64("threshold", 0.15, "events/sec regression tolerated against -baseline")
-	kernelBaseline := flag.String("kernel-baseline", "", "kernel-baseline JSON to embed in the perf battery's -json artifact")
+// experiment is one -experiment value: the section title it prints,
+// whether "all" runs it, and its body, which returns the exit code.
+type experiment struct {
+	name  string
+	title string
+	inAll bool
+	run   func(o *options) int
+}
+
+// experimentTable lists every experiment in -experiment order. "all" is
+// the paper's tables and figures plus the ablations, which stay
+// fault-free and byte-identical run to run; the other ten (fault and soak
+// sweeps, trace checks, multi-tenant, elastic, federation, streaming and
+// perf) must be named.
+var experimentTable = []experiment{
+	{"tab2", "Table II", true, func(o *options) int { experiments.TableII(o.w); return 0 }},
+	{"tab4", "Table IV", true, func(o *options) int { experiments.TableIV(o.w); return 0 }},
+	{"fig2", "Figure 2", true, func(o *options) int {
+		r := experiments.Fig2(o.seed)
+		r.Print(o.w)
+		return o.csv(csvFile{"fig2_trace.csv", func(w io.Writer) error {
+			return metrics.WriteTraceCSV(w, r.Trace)
+		}})
+	}},
+	{"fig3", "Figure 3", true, func(o *options) int {
+		r := experiments.Fig3(o.seed)
+		r.Print(o.w)
+		return o.csv(csvFile{"fig3_tasks.csv", func(w io.Writer) error {
+			return metrics.WriteTaskRowsCSV(w, r.Rows)
+		}})
+	}},
+	{"fig5", "Figure 5", true, func(o *options) int { experiments.Fig5(o.runs).Print(o.w); return 0 }},
+	{"fig6", "Figure 6", true, func(o *options) int { experiments.Fig6(nil, o.seed).Print(o.w); return 0 }},
+	{"tab5", "Table V", true, func(o *options) int { experiments.Tab5(o.seed).Print(o.w); return 0 }},
+	{"fig7", "Figure 7", true, func(o *options) int { experiments.Fig7(o.seed).Print(o.w); return 0 }},
+	{"fig8", "Figure 8", true, func(o *options) int { experiments.Fig8(o.seed).Print(o.w); return 0 }},
+	{"fig9", "Figure 9", true, func(o *options) int {
+		r := experiments.Fig9(o.seed)
+		r.Print(o.w)
+		return o.csv(
+			csvFile{"fig9_spark.csv", func(w io.Writer) error { return metrics.WriteBalanceCSV(w, r.Spark) }},
+			csvFile{"fig9_rupam.csv", func(w io.Writer) error { return metrics.WriteBalanceCSV(w, r.RUPAM) }},
+		)
+	}},
+	{"ablations", "Ablations", true, func(o *options) int { experiments.Ablations(o.seed).Print(o.w); return 0 }},
+	{"faults", "Fault recovery", false, func(o *options) int { experiments.FaultRecovery(o.seed).Print(o.w); return 0 }},
+	{"chaos", "Chaos soak", false, func(o *options) int {
+		seeds, code := o.seedList("chaos-seeds", o.chaosSeeds)
+		if code != 0 {
+			return code
+		}
+		rep := chaos.Soak(chaos.Config{Seeds: seeds})
+		return o.publish(rep, rep.Violations, "chaos sweep found %d invariant violations")
+	}},
+	{"recovery", "Crash recovery", false, func(o *options) int {
+		seeds, code := o.seedList("chaos-seeds", o.chaosSeeds)
+		if code != 0 {
+			return code
+		}
+		rep := chaos.RecoverySoak(chaos.Config{Seeds: seeds})
+		return o.publish(rep, rep.Violations, "recovery sweep found %d violations")
+	}},
+	{"tracesanity", "Trace sanity", false, func(o *options) int {
+		rep := experiments.RunTraceSanity(o.seed)
+		rep.Print(o.w)
+		return verdict(len(rep.Violations), "trace sanity found %d invariant violations")
+	}},
+	{"tenancy", "Multi-tenant sweep", false, func(o *options) int {
+		if o.tenancySeeds < 1 || o.tenancyApps < 1 {
+			fmt.Fprintf(os.Stderr, "rupam-bench: -tenancy-seeds and -tenancy-apps must be at least 1\n")
+			return 2
+		}
+		rep := experiments.Tenancy(experiments.TenancyConfig{
+			BaseSeed: o.seed,
+			Seeds:    o.tenancySeeds,
+			Apps:     o.tenancyApps,
+		})
+		return o.publish(rep, rep.Violations, "tenancy sweep found %d invariant violations",
+			csvFile{"tenancy_pools.csv", rep.WritePoolCSV})
+	}},
+	{"preempt", "Preemption soak", false, func(o *options) int {
+		seeds, code := o.seedList("chaos-seeds", o.chaosSeeds)
+		if code != 0 {
+			return code
+		}
+		rep := chaos.PreemptionSoak(chaos.PreemptConfig{Seeds: seeds})
+		return o.publish(rep, rep.Violations, "preemption soak found %d invariant violations")
+	}},
+	{"elastic", "Elastic Pareto sweep", false, func(o *options) int {
+		if o.elasticSeeds < 0 {
+			fmt.Fprintf(os.Stderr, "rupam-bench: -elastic-seeds must be non-negative, got %d\n", o.elasticSeeds)
+			return 2
+		}
+		rep := experiments.Elastic(experiments.ElasticConfig{BaseSeed: o.seed, Seeds: o.elasticSeeds})
+		return o.publish(rep, rep.Violations, "elastic sweep found %d violations",
+			csvFile{"elastic_pareto.csv", rep.WriteParetoCSV})
+	}},
+	{"federation", "Federation soak + scaling sweep", false, func(o *options) int {
+		seeds, code := o.seedList("federation-seeds", o.fedSeeds)
+		if code != 0 {
+			return code
+		}
+		rep := chaos.FederationSoak(chaos.FederationConfig{Seeds: seeds})
+		rep.Print(o.w)
+		if code = o.writeJSON(rep); code != 0 {
+			return code
+		}
+		sweep := experiments.Federation(experiments.FederationConfig{BaseSeed: o.seed})
+		sweep.Print(o.w)
+		code = o.csv(
+			csvFile{"federation_scale.csv", sweep.WriteCSV},
+			csvFile{"federation_agent_churn.csv", sweep.WriteChurnCSV},
+		)
+		if code != 0 {
+			return code
+		}
+		return verdict(rep.Violations+sweep.Violations, "federation sweep found %d invariant violations")
+	}},
+	{"streaming", "Streaming placement sweep", false, func(o *options) int {
+		if o.streamingSeeds < 0 {
+			fmt.Fprintf(os.Stderr, "rupam-bench: -streaming-seeds must be non-negative, got %d\n", o.streamingSeeds)
+			return 2
+		}
+		rep := experiments.Streaming(experiments.StreamingConfig{BaseSeed: o.seed, Seeds: o.streamingSeeds})
+		return o.publish(rep, rep.Violations, "streaming sweep found %d violations",
+			csvFile{"streaming_throughput.csv", rep.WriteThroughputCSV})
+	}},
+	{"perf", "Perf battery", false, runPerf},
+}
+
+// experimentNames is every value -experiment accepts.
+func experimentNames() []string {
+	names := []string{"all"}
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+	}
+	return names
+}
+
+func main() { os.Exit(run()) }
+
+// run parses the flags and runs the chosen experiments, returning the
+// exit code, so the deferred profile stop runs on every path.
+func run() int {
+	o := &options{w: os.Stdout}
+	names := experimentNames()
+	exp := flag.String("experiment", "all", "experiment to regenerate: "+strings.Join(names, "|"))
+	flag.IntVar(&o.runs, "runs", 5, "repetitions for fig5")
+	flag.Uint64Var(&o.seed, "seed", 1, "base PRNG seed")
+	flag.StringVar(&o.csvDir, "csv", "", "directory for raw CSV series (fig2, fig3, fig9)")
+	flag.IntVar(&o.chaosSeeds, "chaos-seeds", 20, "fault-plan seeds in the chaos sweep")
+	flag.StringVar(&o.jsonPath, "json", "", "file for the JSON report of chaos, recovery, tenancy, preempt, elastic, federation, streaming or perf")
+	flag.IntVar(&o.tenancySeeds, "tenancy-seeds", 5, "arrival-stream seeds in the tenancy sweep")
+	flag.IntVar(&o.tenancyApps, "tenancy-apps", 10, "application arrivals per tenancy stream")
+	flag.IntVar(&o.elasticSeeds, "elastic-seeds", 0, "arrival-stream seeds per policy in the elastic sweep (0 = default)")
+	flag.IntVar(&o.fedSeeds, "federation-seeds", 5, "fault-plan seeds in the federation soak")
+	flag.IntVar(&o.streamingSeeds, "streaming-seeds", 0, "topology seeds per placer in the streaming sweep (0 = default)")
+	flag.StringVar(&o.perfScale, "perf-scale", "standard", "perf battery sweep size: smoke|standard")
+	flag.IntVar(&o.perfReps, "perf-reps", 3, "perf battery repetitions per case (fastest kept)")
+	flag.BoolVar(&o.perfUnopt, "perf-compare-unopt", true, "pair every perf case with a run under the unoptimized reference kernels")
+	flag.StringVar(&o.baselinePath, "baseline", "", "BENCH JSON to compare the perf battery against (regressions fail the run)")
+	flag.Float64Var(&o.threshold, "threshold", 0.15, "events/sec regression tolerated against -baseline")
+	flag.StringVar(&o.kernelBaseline, "kernel-baseline", "", "kernel-baseline JSON to embed in the perf battery's -json artifact")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
 
-	known := false
-	for _, n := range experimentNames {
-		if *exp == n {
-			known = true
-			break
-		}
-	}
-	if !known {
-		fmt.Fprintf(os.Stderr, "rupam-bench: unknown experiment %q (have: %s)\n",
-			*exp, strings.Join(experimentNames, ", "))
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *runs < 1 {
-		fmt.Fprintf(os.Stderr, "rupam-bench: -runs must be at least 1, got %d\n", *runs)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *perfScale != perf.ScaleSmoke && *perfScale != perf.ScaleStandard {
-		fmt.Fprintf(os.Stderr, "rupam-bench: -perf-scale must be %s or %s, got %q\n",
-			perf.ScaleSmoke, perf.ScaleStandard, *perfScale)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *perfReps < 1 {
-		fmt.Fprintf(os.Stderr, "rupam-bench: -perf-reps must be at least 1, got %d\n", *perfReps)
-		flag.Usage()
-		os.Exit(2)
+	switch {
+	case !slices.Contains(names, *exp):
+		return usageError("unknown experiment %q (have: %s)", *exp, strings.Join(names, ", "))
+	case o.runs < 1:
+		return usageError("-runs must be at least 1, got %d", o.runs)
+	case o.perfScale != perf.ScaleSmoke && o.perfScale != perf.ScaleStandard:
+		return usageError("-perf-scale must be %s or %s, got %q", perf.ScaleSmoke, perf.ScaleStandard, o.perfScale)
+	case o.perfReps < 1:
+		return usageError("-perf-reps must be at least 1, got %d", o.perfReps)
 	}
 
-	stopProfiles := startProfiles(*cpuProfile, *memProfile, *tracePath)
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile, *tracePath)
+	if err != nil {
+		return fail(err)
+	}
 	defer stopProfiles()
 
-	writeCSV := func(name string, write func(f *os.File) error) {
-		if *csvDir == "" {
-			return
+	for _, e := range experimentTable {
+		if *exp != e.name && !(*exp == "all" && e.inAll) {
+			continue
 		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(filepath.Join(*csvDir, name))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := write(f); err != nil {
-			fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
-
-	w := os.Stdout
-	run := func(name string, fn func()) {
-		fmt.Fprintf(w, "==== %s ====\n", name)
+		fmt.Fprintf(o.w, "==== %s ====\n", e.title)
 		start := time.Now()
-		fn()
-		fmt.Fprintf(w, "(generated in %.1fs wall time)\n\n", time.Since(start).Seconds())
+		if code := e.run(o); code != 0 {
+			return code
+		}
+		fmt.Fprintf(o.w, "(generated in %.1fs wall time)\n\n", time.Since(start).Seconds())
 	}
+	return 0
+}
 
-	all := *exp == "all"
-	matched := false
-	if all || *exp == "tab2" {
-		matched = true
-		run("Table II", func() { experiments.TableII(w) })
+// runPerf runs the perf battery, writes it to -json, and gates it against
+// -baseline when set.
+func runPerf(o *options) int {
+	rep := perf.RunBattery(perf.Options{
+		Scale:        o.perfScale,
+		CompareUnopt: o.perfUnopt,
+		Reps:         o.perfReps,
+		Progress:     func(s string) { fmt.Fprintln(o.w, s) },
+	})
+	if o.kernelBaseline != "" {
+		kb, err := perf.ReadKernelBaseline(o.kernelBaseline)
+		if err != nil {
+			return fail(err)
+		}
+		rep.BaselineKernel = kb
+		fmt.Fprintf(o.w, "kernel baseline %s: %.0f events/s -> %.0f events/s (%.2fx)\n",
+			kb.Commit, kb.Total.EventsPerSec, rep.Total.EventsPerSec,
+			rep.Total.EventsPerSec/kb.Total.EventsPerSec)
 	}
-	if all || *exp == "tab4" {
-		matched = true
-		run("Table IV", func() { experiments.TableIV(w) })
+	if code := o.writeJSON(rep); code != 0 || o.baselinePath == "" {
+		return code
 	}
-	if all || *exp == "fig2" {
-		matched = true
-		run("Figure 2", func() {
-			r := experiments.Fig2(*seed)
-			r.Print(w)
-			writeCSV("fig2_trace.csv", func(f *os.File) error {
-				return metrics.WriteTraceCSV(f, r.Trace)
-			})
-		})
+	base, err := perf.ReadReportFile(o.baselinePath)
+	if err != nil {
+		return fail(err)
 	}
-	if all || *exp == "fig3" {
-		matched = true
-		run("Figure 3", func() {
-			r := experiments.Fig3(*seed)
-			r.Print(w)
-			writeCSV("fig3_tasks.csv", func(f *os.File) error {
-				return metrics.WriteTaskRowsCSV(f, r.Rows)
-			})
-		})
+	violations := perf.Compare(base, rep, o.threshold)
+	for _, v := range violations {
+		fmt.Fprintf(os.Stderr, "rupam-bench: perf regression: %s\n", v)
 	}
-	if all || *exp == "fig5" {
-		matched = true
-		run("Figure 5", func() { experiments.Fig5(*runs).Print(w) })
+	if len(violations) > 0 {
+		return 1
 	}
-	if all || *exp == "fig6" {
-		matched = true
-		run("Figure 6", func() { experiments.Fig6(nil, *seed).Print(w) })
+	fmt.Fprintf(o.w, "no regression against %s (threshold %.0f%%)\n", o.baselinePath, o.threshold*100)
+	return 0
+}
+
+// seedList returns n consecutive seeds from -seed, or exit code 2 when n,
+// set by the named flag, is below 1.
+func (o *options) seedList(flagName string, n int) ([]uint64, int) {
+	if n < 1 {
+		fmt.Fprintf(os.Stderr, "rupam-bench: -%s must be at least 1, got %d\n", flagName, n)
+		return nil, 2
 	}
-	if all || *exp == "tab5" {
-		matched = true
-		run("Table V", func() { experiments.Tab5(*seed).Print(w) })
+	seeds := make([]uint64, n)
+	for i := range seeds {
+		seeds[i] = o.seed + uint64(i)
 	}
-	if all || *exp == "fig7" {
-		matched = true
-		run("Figure 7", func() { experiments.Fig7(*seed).Print(w) })
+	return seeds, 0
+}
+
+// sweepReport is what every sweep experiment's report offers.
+type sweepReport interface {
+	Print(io.Writer)
+	WriteJSON(io.Writer) error
+}
+
+// publish prints a sweep's report, writes its CSV artifacts and its -json
+// report, then returns its verdict.
+func (o *options) publish(rep sweepReport, violations int, found string, csvs ...csvFile) int {
+	rep.Print(o.w)
+	if code := o.csv(csvs...); code != 0 {
+		return code
 	}
-	if all || *exp == "fig8" {
-		matched = true
-		run("Figure 8", func() { experiments.Fig8(*seed).Print(w) })
+	if code := o.writeJSON(rep); code != 0 {
+		return code
 	}
-	if all || *exp == "fig9" {
-		matched = true
-		run("Figure 9", func() {
-			r := experiments.Fig9(*seed)
-			r.Print(w)
-			writeCSV("fig9_spark.csv", func(f *os.File) error {
-				return metrics.WriteBalanceCSV(f, r.Spark)
-			})
-			writeCSV("fig9_rupam.csv", func(f *os.File) error {
-				return metrics.WriteBalanceCSV(f, r.RUPAM)
-			})
-		})
+	return verdict(violations, found)
+}
+
+// verdict returns exit code 1, reporting the count through the format
+// found, when there are violations, and 0 otherwise.
+func verdict(violations int, found string) int {
+	if violations == 0 {
+		return 0
 	}
-	if all || *exp == "ablations" {
-		matched = true
-		run("Ablations", func() { experiments.Ablations(*seed).Print(w) })
+	fmt.Fprintf(os.Stderr, "rupam-bench: "+found+"\n", violations)
+	return 1
+}
+
+// writeJSON writes rep to -json when that is set.
+func (o *options) writeJSON(rep interface{ WriteJSON(io.Writer) error }) int {
+	if o.jsonPath == "" {
+		return 0
 	}
-	// Deliberately NOT part of "all": fault injection would perturb the
-	// deterministic artifact sweep above.
-	if *exp == "faults" {
-		matched = true
-		run("Fault recovery", func() { experiments.FaultRecovery(*seed).Print(w) })
+	return writeFile(o.jsonPath, o.jsonPath, rep.WriteJSON)
+}
+
+// csvFile is one CSV artifact an experiment writes into -csv.
+type csvFile struct {
+	name  string
+	write func(io.Writer) error
+}
+
+// csv writes the files into -csv when that is set.
+func (o *options) csv(files ...csvFile) int {
+	if o.csvDir == "" {
+		return 0
 	}
-	if *exp == "chaos" {
-		matched = true
-		run("Chaos soak", func() {
-			if *chaosSeeds < 1 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -chaos-seeds must be at least 1, got %d\n", *chaosSeeds)
-				os.Exit(2)
-			}
-			seeds := make([]uint64, *chaosSeeds)
-			for i := range seeds {
-				seeds[i] = *seed + uint64(i)
-			}
-			rep := chaos.Soak(chaos.Config{Seeds: seeds})
-			rep.Print(w)
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: chaos sweep found %d invariant violations\n", rep.Violations)
-				os.Exit(1)
-			}
-		})
+	for _, c := range files {
+		if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
+			return fail(err)
+		}
+		if code := writeFile(filepath.Join(o.csvDir, c.name), c.name, c.write); code != 0 {
+			return code
+		}
 	}
-	if *exp == "recovery" {
-		matched = true
-		run("Crash recovery", func() {
-			if *chaosSeeds < 1 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -chaos-seeds must be at least 1, got %d\n", *chaosSeeds)
-				os.Exit(2)
-			}
-			seeds := make([]uint64, *chaosSeeds)
-			for i := range seeds {
-				seeds[i] = *seed + uint64(i)
-			}
-			rep := chaos.RecoverySoak(chaos.Config{Seeds: seeds})
-			rep.Print(w)
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: recovery sweep found %d violations\n", rep.Violations)
-				os.Exit(1)
-			}
-		})
+	return 0
+}
+
+// writeFile creates path and fills it with write, returning exit code 1
+// on any failure; a failed write is reported under name.
+func writeFile(path, name string, write func(io.Writer) error) int {
+	f, err := os.Create(path)
+	if err != nil {
+		return fail(err)
 	}
-	if *exp == "tenancy" {
-		matched = true
-		run("Multi-tenant sweep", func() {
-			if *tenancySeeds < 1 || *tenancyApps < 1 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -tenancy-seeds and -tenancy-apps must be at least 1\n")
-				os.Exit(2)
-			}
-			rep := experiments.Tenancy(experiments.TenancyConfig{
-				BaseSeed: *seed,
-				Seeds:    *tenancySeeds,
-				Apps:     *tenancyApps,
-			})
-			rep.Print(w)
-			writeCSV("tenancy_pools.csv", func(f *os.File) error {
-				return rep.WritePoolCSV(f)
-			})
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: tenancy sweep found %d invariant violations\n", rep.Violations)
-				os.Exit(1)
-			}
-		})
+	if err := write(f); err != nil {
+		f.Close()
+		return fail(fmt.Errorf("writing %s: %w", name, err))
 	}
-	if *exp == "preempt" {
-		matched = true
-		run("Preemption soak", func() {
-			if *chaosSeeds < 1 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -chaos-seeds must be at least 1, got %d\n", *chaosSeeds)
-				os.Exit(2)
-			}
-			seeds := make([]uint64, *chaosSeeds)
-			for i := range seeds {
-				seeds[i] = *seed + uint64(i)
-			}
-			rep := chaos.PreemptionSoak(chaos.PreemptConfig{Seeds: seeds})
-			rep.Print(w)
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: preemption soak found %d invariant violations\n", rep.Violations)
-				os.Exit(1)
-			}
-		})
+	if err := f.Close(); err != nil {
+		return fail(err)
 	}
-	if *exp == "elastic" {
-		matched = true
-		run("Elastic Pareto sweep", func() {
-			if *elasticSeeds < 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -elastic-seeds must be non-negative, got %d\n", *elasticSeeds)
-				os.Exit(2)
-			}
-			rep := experiments.Elastic(experiments.ElasticConfig{
-				BaseSeed: *seed,
-				Seeds:    *elasticSeeds,
-			})
-			rep.Print(w)
-			writeCSV("elastic_pareto.csv", func(f *os.File) error {
-				return rep.WriteParetoCSV(f)
-			})
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: elastic sweep found %d violations\n", rep.Violations)
-				os.Exit(1)
-			}
-		})
-	}
-	if *exp == "federation" {
-		matched = true
-		run("Federation soak + scaling sweep", func() {
-			if *fedSeeds < 1 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -federation-seeds must be at least 1, got %d\n", *fedSeeds)
-				os.Exit(2)
-			}
-			seeds := make([]uint64, *fedSeeds)
-			for i := range seeds {
-				seeds[i] = *seed + uint64(i)
-			}
-			rep := chaos.FederationSoak(chaos.FederationConfig{Seeds: seeds})
-			rep.Print(w)
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			sweep := experiments.Federation(experiments.FederationConfig{BaseSeed: *seed})
-			sweep.Print(w)
-			writeCSV("federation_scale.csv", func(f *os.File) error {
-				return sweep.WriteCSV(f)
-			})
-			writeCSV("federation_agent_churn.csv", func(f *os.File) error {
-				return sweep.WriteChurnCSV(f)
-			})
-			if rep.Violations+sweep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: federation sweep found %d invariant violations\n",
-					rep.Violations+sweep.Violations)
-				os.Exit(1)
-			}
-		})
-	}
-	if *exp == "streaming" {
-		matched = true
-		run("Streaming placement sweep", func() {
-			if *streamingSeeds < 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: -streaming-seeds must be non-negative, got %d\n", *streamingSeeds)
-				os.Exit(2)
-			}
-			rep := experiments.Streaming(experiments.StreamingConfig{
-				BaseSeed: *seed,
-				Seeds:    *streamingSeeds,
-			})
-			rep.Print(w)
-			writeCSV("streaming_throughput.csv", func(f *os.File) error {
-				return rep.WriteThroughputCSV(f)
-			})
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					os.Exit(1)
-				}
-			}
-			if rep.Violations > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: streaming sweep found %d violations\n", rep.Violations)
-				os.Exit(1)
-			}
-		})
-	}
-	if *exp == "perf" {
-		matched = true
-		run("Perf battery", func() {
-			rep := perf.RunBattery(perf.Options{
-				Scale:        *perfScale,
-				CompareUnopt: *perfUnopt,
-				Reps:         *perfReps,
-				Progress:     func(s string) { fmt.Fprintln(w, s) },
-			})
-			if *kernelBaseline != "" {
-				kb, err := perf.ReadKernelBaseline(*kernelBaseline)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					stopProfiles()
-					os.Exit(1)
-				}
-				rep.BaselineKernel = kb
-				fmt.Fprintf(w, "kernel baseline %s: %.0f events/s -> %.0f events/s (%.2fx)\n",
-					kb.Commit, kb.Total.EventsPerSec, rep.Total.EventsPerSec,
-					rep.Total.EventsPerSec/kb.Total.EventsPerSec)
-			}
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					stopProfiles()
-					os.Exit(1)
-				}
-				defer f.Close()
-				if err := rep.WriteJSON(f); err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: writing %s: %v\n", *jsonPath, err)
-					stopProfiles()
-					os.Exit(1)
-				}
-			}
-			if *baselinePath != "" {
-				base, err := perf.ReadReportFile(*baselinePath)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-					stopProfiles()
-					os.Exit(1)
-				}
-				violations := perf.Compare(base, rep, *threshold)
-				for _, v := range violations {
-					fmt.Fprintf(os.Stderr, "rupam-bench: perf regression: %s\n", v)
-				}
-				if len(violations) > 0 {
-					stopProfiles()
-					os.Exit(1)
-				}
-				fmt.Fprintf(w, "no regression against %s (threshold %.0f%%)\n", *baselinePath, *threshold*100)
-			}
-		})
-	}
-	if *exp == "tracesanity" {
-		matched = true
-		run("Trace sanity", func() {
-			rep := experiments.RunTraceSanity(*seed)
-			rep.Print(w)
-			if len(rep.Violations) > 0 {
-				fmt.Fprintf(os.Stderr, "rupam-bench: trace sanity found %d invariant violations\n", len(rep.Violations))
-				os.Exit(1)
-			}
-		})
-	}
-	_ = matched
+	return 0
+}
+
+// fail reports err and returns exit code 1.
+func fail(err error) int {
+	fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
+	return 1
+}
+
+// usageError reports a bad flag with the usage text and returns exit
+// code 2.
+func usageError(format string, args ...any) int {
+	fmt.Fprintf(os.Stderr, "rupam-bench: "+format+"\n", args...)
+	flag.Usage()
+	return 2
 }
 
 // startProfiles wires the standard pprof/trace outputs around the run
-// and returns the (idempotent) stop function. Profiling the perf
+// and returns the (idempotent) stop function; if one cannot start, it
+// stops those already started and returns the error. Profiling the perf
 // battery is the intended use:
 //
 //	rupam-bench -experiment perf -cpuprofile cpu.out
-func startProfiles(cpu, mem, tr string) func() {
+func startProfiles(cpu, mem, tr string) (func(), error) {
 	var stops []func()
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "rupam-bench: %v\n", err)
-		os.Exit(1)
+	done := false
+	stop := func() {
+		if done {
+			return
+		}
+		done = true
+		for _, s := range stops {
+			s()
+		}
 	}
 	if cpu != "" {
 		f, err := os.Create(cpu)
 		if err != nil {
-			fail(err)
+			return nil, err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
+			f.Close()
+			return nil, err
 		}
 		stops = append(stops, func() {
 			pprof.StopCPUProfile()
@@ -560,10 +470,13 @@ func startProfiles(cpu, mem, tr string) func() {
 	if tr != "" {
 		f, err := os.Create(tr)
 		if err != nil {
-			fail(err)
+			stop()
+			return nil, err
 		}
 		if err := trace.Start(f); err != nil {
-			fail(err)
+			f.Close()
+			stop()
+			return nil, err
 		}
 		stops = append(stops, func() {
 			trace.Stop()
@@ -584,14 +497,5 @@ func startProfiles(cpu, mem, tr string) func() {
 			}
 		})
 	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		for _, stop := range stops {
-			stop()
-		}
-	}
+	return stop, nil
 }

@@ -10,7 +10,6 @@ package chaos
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -134,35 +133,18 @@ type Report struct {
 func Soak(cfg Config) *Report {
 	cfg = cfg.withDefaults()
 	rep := &Report{Workload: cfg.Workload, Seeds: cfg.Seeds}
-	for _, seed := range cfg.Seeds {
-		for _, sched := range cfg.Schedulers {
-			rec := runSeed(cfg, sched, seed)
-			if !cfg.SkipVerify && rec.Aborted != "panic" {
-				again := runSeed(cfg, sched, seed)
-				if again.Fingerprint != rec.Fingerprint {
-					rec.Violations = append(rec.Violations, fmt.Sprintf(
-						"non-deterministic: fingerprint %s on re-run, %s first",
-						again.Fingerprint, rec.Fingerprint))
-				}
-			}
-			rep.Violations += len(rec.Violations)
-			rep.Runs = append(rep.Runs, rec)
-		}
-	}
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.runSeed)
 	return rep
 }
 
-// runSeed executes one plan under one scheduler and checks the
-// invariants. A panic anywhere inside the run becomes a violation.
-func runSeed(cfg Config, scheduler string, seed uint64) (rec RunRecord) {
-	rec = RunRecord{Scheduler: scheduler, Seed: seed}
-	defer func() {
-		if r := recover(); r != nil {
-			rec.Aborted = "panic"
-			rec.Violations = append(rec.Violations, fmt.Sprintf("run panicked: %v", r))
-		}
-	}()
+func (r *RunRecord) verdict() (string, *[]string, *string) {
+	return r.Fingerprint, &r.Violations, &r.Aborted
+}
 
+// runSeed executes one plan under one scheduler and checks the
+// invariants.
+func (cfg Config) runSeed(rec *RunRecord, seed uint64, scheduler string) {
+	rec.Scheduler, rec.Seed = scheduler, seed
 	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
@@ -210,7 +192,6 @@ func runSeed(cfg Config, scheduler string, seed uint64) (rec RunRecord) {
 	rec.NodesBlacklisted = res.NodesBlacklisted
 	rec.Fingerprint = Fingerprint(res)
 	rec.Violations = CheckInvariants(res, rt)
-	return rec
 }
 
 // HardenedConfig is the framework configuration the soak runs under:
@@ -287,32 +268,21 @@ func Fingerprint(res *spark.Result) string {
 }
 
 // WriteJSON writes the report as a deterministic, indented JSON artifact.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *Report) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Print summarizes the sweep, one line per run plus a verdict.
 func (r *Report) Print(w io.Writer) {
 	fmt.Fprintf(w, "chaos soak: %s, %d seeds\n", r.Workload, len(r.Seeds))
 	fmt.Fprintf(w, "%-6s %6s %6s %9s %5s %6s %5s %5s %6s %s\n",
 		"sched", "seed", "events", "dur(s)", "spec", "flakes", "lost", "resub", "abort", "fingerprint")
-	for _, rec := range r.Runs {
+	printRuns(w, r.Runs, func(rec *RunRecord) string {
 		abort := "-"
 		if rec.Aborted != "" {
 			abort = "yes"
 		}
-		fmt.Fprintf(w, "%-6s %6d %6d %9.1f %5d %6d %5d %5d %6s %s\n",
+		return fmt.Sprintf("%-6s %6d %6d %9.1f %5d %6d %5d %5d %6s %s\n",
 			rec.Scheduler, rec.Seed, rec.Events, rec.Duration, rec.SpecCopies,
 			rec.TaskFlakes, rec.ExecutorsLost, rec.Resubmissions, abort, rec.Fingerprint)
-		for _, v := range rec.Violations {
-			fmt.Fprintf(w, "    VIOLATION: %s\n", v)
-		}
-	}
-	if r.Violations == 0 {
-		fmt.Fprintf(w, "0 invariant violations across %d runs\n", len(r.Runs))
-	} else {
-		fmt.Fprintf(w, "%d INVARIANT VIOLATIONS across %d runs\n", r.Violations, len(r.Runs))
-	}
+	})
+	printVerdict(w, r.Violations, len(r.Runs), "invariant", "runs")
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -124,34 +123,23 @@ func FederationSoak(cfg FederationConfig) *FederationReport {
 		}
 	}
 
-	for _, seed := range cfg.Seeds {
-		rec := runFederationSeed(cfg, seed)
-		if !cfg.SkipVerify && rec.Fingerprint != "" {
-			again := runFederationSeed(cfg, seed)
-			if again.Fingerprint != rec.Fingerprint {
-				rec.Violations = append(rec.Violations, fmt.Sprintf(
-					"non-deterministic: fingerprint %s on re-run, %s first",
-					again.Fingerprint, rec.Fingerprint))
-			}
-		}
-		rep.Violations += len(rec.Violations)
-		rep.Runs = append(rep.Runs, rec)
-	}
+	runs, violations := sweep(cfg.Seeds, []string{""}, cfg.SkipVerify, cfg.runSeed)
+	rep.Runs = append(rep.Runs, runs...)
+	rep.Violations += violations
 	return rep
 }
 
-// runFederationSeed executes one federated run under one random fault
-// plan and layers the chaos batteries on top of the protocol's own
-// end-state checks.
-func runFederationSeed(cfg FederationConfig, seed uint64) (rec FederationRunRecord) {
-	rec = FederationRunRecord{Seed: seed, Drivers: cfg.Drivers}
-	defer func() {
-		if r := recover(); r != nil {
-			rec.Violations = append(rec.Violations, fmt.Sprintf("run panicked: %v", r))
-		}
-	}()
+func (r *FederationRunRecord) verdict() (string, *[]string, *string) {
+	return r.Fingerprint, &r.Violations, nil
+}
 
-	plan := faults.RandomSchedule(seed, hydraNodeNames(), cfg.Gen)
+// runSeed executes one federated run under one random fault plan and
+// layers the chaos batteries on top of the protocol's own end-state
+// checks. Federation has no scheduler variants: the sweep's single
+// variant is unnamed.
+func (cfg FederationConfig) runSeed(rec *FederationRunRecord, seed uint64, _ string) {
+	rec.Seed, rec.Drivers = seed, cfg.Drivers
+	plan := faults.RandomSchedule(seed, hydra().NodeNames(), cfg.Gen)
 	rec.Events = len(plan.Events)
 
 	res := federation.Run(federation.Config{
@@ -197,15 +185,10 @@ func runFederationSeed(cfg FederationConfig, seed uint64) (rec FederationRunReco
 			rec.Violations = append(rec.Violations, "conservation: "+v)
 		}
 	}
-	return rec
 }
 
 // WriteJSON writes the report as a deterministic, indented JSON artifact.
-func (r *FederationReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *FederationReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Print summarizes the sweep, one line per run plus a verdict.
 func (r *FederationReport) Print(w io.Writer) {
@@ -213,17 +196,10 @@ func (r *FederationReport) Print(w io.Writer) {
 		len(r.Seeds), r.Drivers, r.Scenarios)
 	fmt.Fprintf(w, "%6s %6s %10s %4s %4s %8s %6s %6s %6s %s\n",
 		"seed", "events", "makespan", "done", "abrt", "commits", "crash", "agent", "drops", "fingerprint")
-	for _, rec := range r.Runs {
-		fmt.Fprintf(w, "%6d %6d %10.1f %4d %4d %8d %6d %6d %6d %s\n",
+	printRuns(w, r.Runs, func(rec *FederationRunRecord) string {
+		return fmt.Sprintf("%6d %6d %10.1f %4d %4d %8d %6d %6d %6d %s\n",
 			rec.Seed, rec.Events, rec.Makespan, rec.Completed, rec.Aborted,
 			rec.Commits, rec.Crashes, rec.AgentCrashes, rec.MsgDropped, rec.Fingerprint)
-		for _, v := range rec.Violations {
-			fmt.Fprintf(w, "    VIOLATION: %s\n", v)
-		}
-	}
-	if r.Violations == 0 {
-		fmt.Fprintf(w, "0 invariant violations across %d runs\n", len(r.Runs))
-	} else {
-		fmt.Fprintf(w, "%d INVARIANT VIOLATIONS across %d runs\n", r.Violations, len(r.Runs))
-	}
+	})
+	printVerdict(w, r.Violations, len(r.Runs), "invariant", "runs")
 }

@@ -11,7 +11,6 @@ package chaos
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -114,38 +113,23 @@ func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.
 func RecoverySoak(cfg Config) *RecoveryReport {
 	cfg = cfg.withDefaults()
 	rep := &RecoveryReport{Workload: cfg.Workload, Seeds: cfg.Seeds}
-	for _, seed := range cfg.Seeds {
-		for _, sched := range cfg.Schedulers {
-			rec := recoverySeed(cfg, sched, seed)
-			if !cfg.SkipVerify && rec.Aborted != "panic" {
-				again := recoverySeed(cfg, sched, seed)
-				if again.Fingerprint != rec.Fingerprint {
-					rec.Violations = append(rec.Violations, fmt.Sprintf(
-						"non-deterministic: fingerprint %s on re-run, %s first",
-						again.Fingerprint, rec.Fingerprint))
-				}
-			}
-			if rec.CrashFired {
-				rep.CrashesHit++
-			}
-			rep.Violations += len(rec.Violations)
-			rep.Runs = append(rep.Runs, rec)
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.recoverySeed)
+	for _, rec := range rep.Runs {
+		if rec.CrashFired {
+			rep.CrashesHit++
 		}
 	}
 	return rep
 }
 
+func (r *RecoveryRecord) verdict() (string, *[]string, *string) {
+	return r.Fingerprint, &r.Violations, &r.Aborted
+}
+
 // recoverySeed runs one crashed trial against its reference and checks the
 // recovery battery.
-func recoverySeed(cfg Config, scheduler string, seed uint64) (rec RecoveryRecord) {
-	rec = RecoveryRecord{Scheduler: scheduler, Seed: seed}
-	defer func() {
-		if r := recover(); r != nil {
-			rec.Aborted = "panic"
-			rec.Violations = append(rec.Violations, fmt.Sprintf("run panicked: %v", r))
-		}
-	}()
-
+func (cfg Config) recoverySeed(rec *RecoveryRecord, seed uint64, scheduler string) {
+	rec.Scheduler, rec.Seed = scheduler, seed
 	res, rt := RecoveryRun(cfg, scheduler, seed, true)
 	refRes, _ := RecoveryRun(cfg, scheduler, seed, false)
 
@@ -173,7 +157,6 @@ func recoverySeed(cfg Config, scheduler string, seed uint64) (rec RecoveryRecord
 	} else if rec.CrashFired {
 		rec.Violations = append(rec.Violations, "driver crashed with no write-ahead log")
 	}
-	return rec
 }
 
 // CheckRecoveryEquivalence compares a crashed-and-recovered run's final
@@ -301,11 +284,7 @@ func equalInts(a, b []int) bool {
 }
 
 // WriteJSON writes the report as a deterministic, indented JSON artifact.
-func (r *RecoveryReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *RecoveryReport) WriteJSON(w io.Writer) error { return writeJSON(w, r) }
 
 // Print summarizes the sweep, one line per trial plus a verdict.
 func (r *RecoveryReport) Print(w io.Writer) {
@@ -313,21 +292,14 @@ func (r *RecoveryReport) Print(w io.Writer) {
 		r.Workload, len(r.Seeds), r.CrashesHit, len(r.Runs))
 	fmt.Fprintf(w, "%-6s %6s %6s %9s %9s %5s %8s %s\n",
 		"sched", "seed", "crash", "dur(s)", "ref(s)", "recov", "walrecs", "fingerprint")
-	for _, rec := range r.Runs {
+	printRuns(w, r.Runs, func(rec *RecoveryRecord) string {
 		crash := "-"
 		if rec.CrashFired {
 			crash = "yes"
 		}
-		fmt.Fprintf(w, "%-6s %6d %6s %9.1f %9.1f %5d %8d %s\n",
+		return fmt.Sprintf("%-6s %6d %6s %9.1f %9.1f %5d %8d %s\n",
 			rec.Scheduler, rec.Seed, crash, rec.Duration, rec.RefDuration,
 			rec.Recoveries, rec.WALRecords, rec.Fingerprint)
-		for _, v := range rec.Violations {
-			fmt.Fprintf(w, "    VIOLATION: %s\n", v)
-		}
-	}
-	if r.Violations == 0 {
-		fmt.Fprintf(w, "0 recovery violations across %d trials\n", len(r.Runs))
-	} else {
-		fmt.Fprintf(w, "%d RECOVERY VIOLATIONS across %d trials\n", r.Violations, len(r.Runs))
-	}
+	})
+	printVerdict(w, r.Violations, len(r.Runs), "recovery", "trials")
 }

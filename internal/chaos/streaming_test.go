@@ -30,9 +30,9 @@ func TestStreamingSoakClean(t *testing.T) {
 	}
 }
 
-// TestStreamingSoakDetectsNonDeterminism is a meta-test of the harness
-// plumbing: the JSON artifact round-trips and the printout carries the
-// verdict line.
+// TestStreamingSoakArtifacts is a meta-test of the harness plumbing: the
+// JSON artifact round-trips, the printout carries the verdict line, and
+// both match their pinned digests.
 func TestStreamingSoakArtifacts(t *testing.T) {
 	rep := StreamingSoak(StreamingConfig{
 		Seeds:   []uint64{4},

@@ -63,7 +63,7 @@ func TestTenancySoakRoutesDriverCrash(t *testing.T) {
 			}
 		}
 	}
-	plan := faults.RandomSchedule(2, hydraNodeNames(), gen)
+	plan := faults.RandomSchedule(2, hydra().NodeNames(), gen)
 	if !plan.HasKind(faults.DriverCrash) {
 		t.Fatal("generator produced no driver crash despite DriverCrashes=2")
 	}
