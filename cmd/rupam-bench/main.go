@@ -8,8 +8,8 @@
 //	            [-runs N] [-seed N] [-csv DIR] [-json FILE] [-chaos-seeds N]
 //	            [-tenancy-seeds N] [-tenancy-apps N] [-elastic-seeds N]
 //	            [-federation-seeds N] [-streaming-seeds N]
-//	            [-perf-scale smoke|standard] [-perf-reps N] [-perf-compare-unopt]
-//	            [-baseline FILE] [-threshold F] [-kernel-baseline FILE]
+//	            [-perf-scale smoke|standard] [-perf-reps N]
+//	            [-baseline FILE] [-threshold F]
 //	            [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //
 // fig5 runs every workload under both schedulers -runs times (default 5,
@@ -89,10 +89,8 @@ type options struct {
 	streamingSeeds int
 	perfScale      string
 	perfReps       int
-	perfUnopt      bool
 	baselinePath   string
 	threshold      float64
-	kernelBaseline string
 }
 
 // experiment is one -experiment value: the section title it prints,
@@ -254,10 +252,8 @@ func run() int {
 	flag.IntVar(&o.streamingSeeds, "streaming-seeds", 0, "topology seeds per placer in the streaming sweep (0 = default)")
 	flag.StringVar(&o.perfScale, "perf-scale", "standard", "perf battery sweep size: smoke|standard")
 	flag.IntVar(&o.perfReps, "perf-reps", 3, "perf battery repetitions per case (fastest kept)")
-	flag.BoolVar(&o.perfUnopt, "perf-compare-unopt", true, "pair every perf case with a run under the unoptimized reference kernels")
 	flag.StringVar(&o.baselinePath, "baseline", "", "BENCH JSON to compare the perf battery against (regressions fail the run)")
 	flag.Float64Var(&o.threshold, "threshold", 0.15, "events/sec regression tolerated against -baseline")
-	flag.StringVar(&o.kernelBaseline, "kernel-baseline", "", "kernel-baseline JSON to embed in the perf battery's -json artifact")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	tracePath := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -298,21 +294,10 @@ func run() int {
 // -baseline when set.
 func runPerf(o *options) int {
 	rep := perf.RunBattery(perf.Options{
-		Scale:        o.perfScale,
-		CompareUnopt: o.perfUnopt,
-		Reps:         o.perfReps,
-		Progress:     func(s string) { fmt.Fprintln(o.w, s) },
+		Scale:    o.perfScale,
+		Reps:     o.perfReps,
+		Progress: func(s string) { fmt.Fprintln(o.w, s) },
 	})
-	if o.kernelBaseline != "" {
-		kb, err := perf.ReadKernelBaseline(o.kernelBaseline)
-		if err != nil {
-			return fail(err)
-		}
-		rep.BaselineKernel = kb
-		fmt.Fprintf(o.w, "kernel baseline %s: %.0f events/s -> %.0f events/s (%.2fx)\n",
-			kb.Commit, kb.Total.EventsPerSec, rep.Total.EventsPerSec,
-			rep.Total.EventsPerSec/kb.Total.EventsPerSec)
-	}
 	if code := o.writeJSON(rep); code != 0 || o.baselinePath == "" {
 		return code
 	}

@@ -17,7 +17,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
 	"rupam/internal/simx"
@@ -145,7 +144,6 @@ func (r *RunRecord) verdict() (string, *[]string, *string) {
 // invariants.
 func (cfg Config) runSeed(rec *RunRecord, seed uint64, scheduler string) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	cluster.NewHydra(clu)

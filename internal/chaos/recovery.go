@@ -17,7 +17,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
 	"rupam/internal/simx"
@@ -75,7 +74,6 @@ func recoveryGen(cfg Config) faults.GenConfig {
 // task outcomes are directly comparable.
 func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.Result, *spark.Runtime) {
 	cfg = cfg.withDefaults()
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	cluster.NewHydra(clu)

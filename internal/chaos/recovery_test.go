@@ -6,7 +6,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/faults"
 	"rupam/internal/hdfs"
 	"rupam/internal/rdd"
@@ -71,7 +70,6 @@ func TestRecoveryReportDeterministic(t *testing.T) {
 // raceWorld builds the three-class cluster the spark package's race tests
 // use, on a fresh engine.
 func raceWorld() (*simx.Engine, *cluster.Cluster, *hdfs.Store) {
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	clu.AddNode(cluster.NodeSpec{

@@ -24,8 +24,7 @@ type sweepRecord[R any] interface {
 // filled in, gains one "run panicked" violation and is not re-run.
 // Unless skipVerify, every other pair runs a second time and must
 // reproduce its first fingerprint. It returns the records and their
-// violation total. Runs are serial: run ordering sorts on the
-// process-global executor run sequence.
+// violation total. Runs are serial.
 func sweep[R any, P sweepRecord[R]](seeds []uint64, variants []string, skipVerify bool,
 	run func(rec *R, seed uint64, variant string)) (runs []R, violations int) {
 	for _, seed := range seeds {

@@ -135,6 +135,7 @@ type Executor struct {
 	peers map[string]*Executor // all executors by node, for remote reads
 
 	running     map[*Run]struct{}
+	launches    uint64 // numbers runs in launch order (Run.seq)
 	down        bool
 	failStopped bool
 
@@ -384,7 +385,8 @@ func (ex *Executor) Launch(t *task.Task, st *task.Stage, opts Options, onDone fu
 	}
 	r := &ex.runArena[0]
 	ex.runArena = ex.runArena[1:]
-	*r = Run{ex: ex, t: t, st: st, m: m, opts: opts, onDone: onDone, seq: nextRunSeq()}
+	ex.launches++
+	*r = Run{ex: ex, t: t, st: st, m: m, opts: opts, onDone: onDone, seq: ex.launches}
 	r.tr = ex.cfg.Tracer.AttemptStarted(t, st, ex.node.Name(), opts.Locality.String(), opts.Speculative)
 	r.reservedMem = t.Demand.PeakMemory
 	ex.reserved += r.reservedMem

@@ -11,13 +11,10 @@ import (
 	"rupam/internal/tracing"
 )
 
-var runSeq uint64
-
-func nextRunSeq() uint64 { runSeq++; return runSeq }
-
-// ResetRunSeq restores the global run sequence counter; tests call it so
-// that runs are reproducible regardless of execution order.
-func ResetRunSeq() { runSeq = 0 }
+// ResetRunSeq does nothing: runs are numbered per Executor, so no
+// counter is shared between simulations. It is kept because the simbench
+// module calls it.
+func ResetRunSeq() {}
 
 // Run is one in-flight task attempt: a small state machine whose phases
 // claim node resources and chain via completion callbacks.

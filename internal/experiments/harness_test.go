@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/hdfs"
 	"rupam/internal/simx"
 	"rupam/internal/spark"
@@ -15,7 +14,6 @@ import (
 // inspection.
 func runWithRuntime(t *testing.T, spec RunSpec) (*spark.Result, *spark.Runtime) {
 	t.Helper()
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := BuildCluster(eng, spec.Cluster)
 	store := hdfs.NewStore(clu.NodeNames(), 2, spec.Seed*2654435761+1)

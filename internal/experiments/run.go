@@ -10,7 +10,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/hdfs"
 	"rupam/internal/simx"
 	"rupam/internal/spark"
@@ -67,7 +66,6 @@ func BuildCluster(eng *simx.Engine, name string) *cluster.Cluster {
 // Run executes one application under one scheduler on a fresh simulated
 // cluster and returns the framework's result.
 func Run(spec RunSpec) *spark.Result {
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := BuildCluster(eng, spec.Cluster)
 
@@ -126,7 +124,6 @@ func appOf(spec RunSpec) *task.Application {
 // a persisted task-characteristics database file. It returns the run
 // result and the number of records persisted. A missing file starts cold.
 func RunWithCharDB(spec RunSpec, path string) (*spark.Result, int) {
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := BuildCluster(eng, spec.Cluster)
 	store := hdfs.NewStore(clu.NodeNames(), 2, spec.Seed*2654435761+1)

@@ -7,7 +7,6 @@ import (
 
 	"rupam/internal/cluster"
 	"rupam/internal/core"
-	"rupam/internal/executor"
 	"rupam/internal/simx"
 	"rupam/internal/spark"
 	"rupam/internal/tenant"
@@ -119,7 +118,6 @@ func fillSlowdowns(rep *tenant.Report, sched string, seed uint64,
 // isolatedDuration runs one application alone on a fresh cluster and
 // returns its completion time — the denominator of the slowdown metric.
 func isolatedDuration(scheduler string, seed uint64, workload string, p workloads.Params) float64 {
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	cluster.NewHydra(clu)

@@ -94,7 +94,6 @@ func TestRandomScheduleDeterministic(t *testing.T) {
 // twoNode builds a 2-node cluster with executors for injector tests.
 func twoNode(t *testing.T) (*simx.Engine, *cluster.Cluster, map[string]*executor.Executor) {
 	t.Helper()
-	executor.ResetRunSeq()
 	eng := simx.NewEngine()
 	clu := cluster.New(eng)
 	spec := cluster.NodeSpec{

@@ -10,12 +10,6 @@
 // event and task counts are byte-reproducible run to run — only the
 // wall-clock denominators move, which is exactly what the comparator's
 // noise threshold absorbs.
-//
-// The battery can also pair every case with a run under the
-// unoptimized reference kernels (timer-node pooling off, netsim
-// incremental re-rating off) and record the speedup, which is how the
-// committed BENCH artifact demonstrates the kernel-optimization
-// trajectory the ROADMAP calls for.
 package perf
 
 import (
@@ -41,10 +35,6 @@ type Options struct {
 	// Scale selects the sweep size: ScaleSmoke or ScaleStandard
 	// (default ScaleStandard).
 	Scale string
-	// CompareUnopt pairs every case with a run under the unoptimized
-	// reference kernels (engine pooling off, netsim incremental
-	// re-rating off) and records unopt wall time and speedup.
-	CompareUnopt bool
 	// Reps runs every case this many times and keeps the fastest
 	// repetition (default 1). Event, task and allocation counts are
 	// deterministic across repetitions — the battery panics if they
@@ -76,7 +66,7 @@ type batteryCase struct {
 // cases returns the standard sweep. Order is fixed: it is the order of
 // Report.Cases and of the committed artifact.
 //
-// The kernel micro-cases isolate the three optimized hot paths (event
+// The kernel micro-cases isolate the three kernel hot paths (event
 // loop, PS re-rating, netsim re-rating); the macro cases run the same
 // harnesses the evaluation uses, so scheduler, executor, shuffle and
 // fault machinery are all on the measured path.
@@ -145,9 +135,10 @@ func runPSChurn(scale string) int64 {
 }
 
 // runNetsimShuffle drives waves of concurrent transfers between
-// disjoint node pairs — the shuffle regime netsim's incremental
-// re-rating targets, where each flow event's bottleneck neighbourhood
-// is a small fraction of the cluster-wide flow population.
+// disjoint node pairs on a 64-node network, larger than any cluster the
+// harnesses build. Every flow event water-fills all active flows, so
+// this case measures re-rate cost at a flow population well above the
+// evaluation's.
 func runNetsimShuffle(scale string) int64 {
 	pairs, perPair, waves := 16, 4, 6
 	if scale == ScaleStandard {
@@ -280,21 +271,6 @@ func measureBest(name string, reps int, fn func() int64) Measurement {
 	return best
 }
 
-// measureUnopt is measure under the unoptimized reference kernels:
-// every engine allocates one timer node per event and netsim re-rates
-// every flow globally on every change. Event and task counts are
-// identical to the optimized run — the kernels are bit-equivalent —
-// so the wall-time ratio is the kernel speedup.
-func measureUnoptBest(name string, reps int, fn func() int64) Measurement {
-	simx.SetPoolingDefault(false)
-	netsim.SetIncrementalDefault(false)
-	defer func() {
-		simx.SetPoolingDefault(true)
-		netsim.SetIncrementalDefault(true)
-	}()
-	return measureBest(name, reps, fn)
-}
-
 // RunBattery executes the standard sweep and returns the report.
 func RunBattery(opts Options) *Report {
 	scale := opts.Scale
@@ -312,17 +288,6 @@ func RunBattery(opts Options) *Report {
 	for _, c := range cases() {
 		m := measureBest(c.name, reps, func() int64 { return c.run(scale) })
 		cr := newCaseResult(c.name, m)
-		if opts.CompareUnopt {
-			u := measureUnoptBest(c.name, reps, func() int64 { return c.run(scale) })
-			if u.Events != m.Events {
-				panic(fmt.Sprintf("perf: %s fired %d events optimized but %d unoptimized — kernels diverged",
-					c.name, m.Events, u.Events))
-			}
-			cr.UnoptWallSec = u.Wall
-			cr.UnoptEventsPerSec = rate(float64(u.Events), u.Wall)
-			cr.UnoptAllocsPerEvent = perEvent(u.Allocs, u.Events)
-			cr.Speedup = ratio(cr.EventsPerSec, cr.UnoptEventsPerSec)
-		}
 		rep.Cases = append(rep.Cases, cr)
 		if opts.Progress != nil {
 			opts.Progress(cr.line())

@@ -2,22 +2,20 @@ package perf
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestBatterySmoke runs the full sweep at smoke scale with the paired
-// unoptimized-kernel runs and best-of-2 repetitions — every battery
-// feature on one pass. The per-case checks pin the properties the
+// TestBatterySmoke runs the full sweep at smoke scale with best-of-2
+// repetitions — every battery feature on one pass. The per-case checks pin the properties the
 // BENCH artifact and its comparator rely on.
 func TestBatterySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("battery smoke is a multi-second sweep")
 	}
-	rep := RunBattery(Options{Scale: ScaleSmoke, CompareUnopt: true, Reps: 2})
+	rep := RunBattery(Options{Scale: ScaleSmoke, Reps: 2})
 
 	want := len(cases())
 	if len(rep.Cases) != want {
@@ -31,9 +29,6 @@ func TestBatterySmoke(t *testing.T) {
 		}
 		if c.WallSec <= 0 {
 			t.Errorf("%s: non-positive wall time %v", c.Name, c.WallSec)
-		}
-		if c.UnoptWallSec <= 0 || c.Speedup <= 0 {
-			t.Errorf("%s: paired run missing (unopt wall %v, speedup %v)", c.Name, c.UnoptWallSec, c.Speedup)
 		}
 		if strings.HasPrefix(c.Name, "batch/") && c.Tasks == 0 {
 			t.Errorf("%s: batch case reported no task launches", c.Name)
@@ -78,12 +73,6 @@ func sampleReport() *Report {
 
 func TestReportRoundTrip(t *testing.T) {
 	rep := sampleReport()
-	rep.BaselineKernel = &KernelBaseline{
-		Commit: "0000000",
-		Note:   "test",
-		Cases:  rep.Cases,
-		Total:  rep.Total,
-	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -101,24 +90,33 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadKernelBaseline(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "kb.json")
-	if err := os.WriteFile(path, []byte(`{"commit":"abc1234","cases":[],"total":{"name":"total"}}`), 0o644); err != nil {
-		t.Fatal(err)
+// TestBenchArtifactsAgree checks the committed BENCH artifacts against
+// each other. The older one predates the current schema and must still
+// load, since it stays in the tree as the trajectory record. Both must
+// list the same cases in the same order with identical event and task
+// counts: the battery is deterministic, so equal counts show the kernel
+// behind the newer artifact fires the same event stream as the older.
+func TestBenchArtifactsAgree(t *testing.T) {
+	read := func(name string) *Report {
+		rep, err := ReadReportFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return rep
 	}
-	kb, err := ReadKernelBaseline(path)
-	if err != nil {
-		t.Fatal(err)
+	old, cur := read("BENCH_10.json"), read("BENCH_13.json")
+	if old.Scale != cur.Scale {
+		t.Fatalf("scale %q vs %q", old.Scale, cur.Scale)
 	}
-	if kb.Commit != "abc1234" {
-		t.Fatalf("commit %q", kb.Commit)
+	if len(old.Cases) != len(cur.Cases) {
+		t.Fatalf("%d cases vs %d", len(old.Cases), len(cur.Cases))
 	}
-	if err := os.WriteFile(path, []byte(`{"cases":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadKernelBaseline(path); err == nil {
-		t.Fatal("baseline without commit accepted")
+	for i, o := range old.Cases {
+		c := cur.Cases[i]
+		if o.Name != c.Name || o.Events != c.Events || o.Tasks != c.Tasks {
+			t.Errorf("case %d: %s %d events/%d tasks vs %s %d/%d",
+				i, o.Name, o.Events, o.Tasks, c.Name, c.Events, c.Tasks)
+		}
 	}
 }
 
@@ -169,27 +167,5 @@ func TestCompare(t *testing.T) {
 	cur.Cases[0].AllocsPerEvent = base.Cases[0].AllocsPerEvent*2 + 0.2
 	if v := Compare(base, cur, 0.15); len(v) != 1 || !strings.Contains(v[0], "allocs/event") {
 		t.Fatalf("alloc regression not flagged: %v", v)
-	}
-
-	// The speedup gate engages only when both reports carry paired runs.
-	base.Cases[0].Speedup = 5.0
-	cur = sampleReport()
-	if v := Compare(base, cur, 0.15); len(v) != 0 {
-		t.Fatalf("missing paired run flagged: %v", v)
-	}
-	cur.Cases[0].Speedup = 3.0
-	if v := Compare(base, cur, 0.15); len(v) != 1 || !strings.Contains(v[0], "speedup") {
-		t.Fatalf("speedup regression not flagged: %v", v)
-	}
-	cur.Cases[0].Speedup = 4.5
-	if v := Compare(base, cur, 0.15); len(v) != 0 {
-		t.Fatalf("within-threshold speedup drop flagged: %v", v)
-	}
-
-	// Near-1.0 baseline speedups are noise quotients, not gated.
-	base.Cases[0].Speedup = 1.1
-	cur.Cases[0].Speedup = 0.85
-	if v := Compare(base, cur, 0.15); len(v) != 0 {
-		t.Fatalf("immaterial speedup baseline gated: %v", v)
 	}
 }

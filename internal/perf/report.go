@@ -22,27 +22,6 @@ type CaseResult struct {
 	TasksPerSec    float64 `json:"tasks_per_sec"`
 	Allocs         uint64  `json:"allocs"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
-
-	// Paired-run fields, present when the battery ran with
-	// CompareUnopt: the same case under the reference kernels.
-	UnoptWallSec        float64 `json:"unopt_wall_sec,omitempty"`
-	UnoptEventsPerSec   float64 `json:"unopt_events_per_sec,omitempty"`
-	UnoptAllocsPerEvent float64 `json:"unopt_allocs_per_event,omitempty"`
-	Speedup             float64 `json:"speedup,omitempty"`
-}
-
-// KernelBaseline is the same battery measured against a historical
-// kernel build on the same machine. The committed artifact embeds the
-// pre-optimization kernel (the commit before the internal/perf PR) as
-// the trajectory origin for the speedup claim; its event counts are
-// its own — old and new kernels fire marginally different event
-// streams (≤0.1%), so its rates are computed over its own counts and
-// no cross-kernel count equality is asserted.
-type KernelBaseline struct {
-	Commit string       `json:"commit"`
-	Note   string       `json:"note,omitempty"`
-	Cases  []CaseResult `json:"cases"`
-	Total  CaseResult   `json:"total"`
 }
 
 // Report is the BENCH_<n>.json artifact: the per-case counters plus a
@@ -53,27 +32,6 @@ type Report struct {
 	Reps   int          `json:"reps,omitempty"`
 	Cases  []CaseResult `json:"cases"`
 	Total  CaseResult   `json:"total"`
-
-	// BaselineKernel is optional historical context (see KernelBaseline);
-	// Compare ignores it — it is provenance, not a gate.
-	BaselineKernel *KernelBaseline `json:"baseline_kernel,omitempty"`
-}
-
-// ReadKernelBaseline loads a KernelBaseline JSON file (as produced by
-// running the battery cases against a checked-out historical commit).
-func ReadKernelBaseline(path string) (*KernelBaseline, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var kb KernelBaseline
-	if err := json.Unmarshal(b, &kb); err != nil {
-		return nil, fmt.Errorf("perf: decoding kernel baseline: %w", err)
-	}
-	if kb.Commit == "" {
-		return nil, fmt.Errorf("perf: kernel baseline missing commit")
-	}
-	return &kb, nil
 }
 
 func rate(n, wall float64) float64 {
@@ -88,13 +46,6 @@ func perEvent(allocs, events uint64) float64 {
 		return 0
 	}
 	return float64(allocs) / float64(events)
-}
-
-func ratio(a, b float64) float64 {
-	if b <= 0 {
-		return 0
-	}
-	return a / b
 }
 
 func newCaseResult(name string, m Measurement) CaseResult {
@@ -114,33 +65,16 @@ func newCaseResult(name string, m Measurement) CaseResult {
 // over summed numerators and denominators (not averaged per case), so
 // long cases weigh what they cost.
 func (r *Report) aggregate() CaseResult {
-	var wall, unoptWall float64
+	var wall float64
 	var events, allocs uint64
 	var tasks int64
-	var unoptEvents uint64
-	var unoptAllocs uint64
-	paired := true
 	for _, c := range r.Cases {
 		wall += c.WallSec
 		events += c.Events
 		tasks += c.Tasks
 		allocs += c.Allocs
-		if c.UnoptWallSec > 0 {
-			unoptWall += c.UnoptWallSec
-			unoptEvents += c.Events // counts are kernel-invariant
-			unoptAllocs += uint64(c.UnoptAllocsPerEvent * float64(c.Events))
-		} else {
-			paired = false
-		}
 	}
-	total := newCaseResult("total", Measurement{Wall: wall, Events: events, Tasks: tasks, Allocs: allocs})
-	if paired && unoptWall > 0 {
-		total.UnoptWallSec = unoptWall
-		total.UnoptEventsPerSec = rate(float64(unoptEvents), unoptWall)
-		total.UnoptAllocsPerEvent = perEvent(unoptAllocs, unoptEvents)
-		total.Speedup = ratio(total.EventsPerSec, total.UnoptEventsPerSec)
-	}
-	return total
+	return newCaseResult("total", Measurement{Wall: wall, Events: events, Tasks: tasks, Allocs: allocs})
 }
 
 // line formats a case for progress output.
@@ -149,9 +83,6 @@ func (c CaseResult) line() string {
 		c.Name, c.WallSec, c.EventsPerSec, c.AllocsPerEvent)
 	if c.TasksPerSec > 0 {
 		s += fmt.Sprintf("  %8.1f tasks/s", c.TasksPerSec)
-	}
-	if c.Speedup > 0 {
-		s += fmt.Sprintf("  %5.1fx vs unopt", c.Speedup)
 	}
 	return s
 }
@@ -202,12 +133,9 @@ func ReadReportFile(path string) (*Report, error) {
 //   - events/sec: at least (1-threshold) of the baseline's. This is
 //     the catch-all, but it is machine-relative — it only means
 //     something when baseline and current ran on comparable hardware;
-//   - allocs/event and (when both reports carry paired runs) speedup:
-//     at most (1+threshold) respectively at least (1-threshold) of the
-//     baseline's. Both are machine-independent — allocation counts are
-//     near-deterministic and the speedup is normalized by the paired
-//     unoptimized run on the same host — so they hold across machines
-//     where the raw rate gate cannot.
+//   - allocs/event: at most (1+threshold) of the baseline's plus 0.1.
+//     Allocation counts are near-deterministic, so this gate holds
+//     across machines where the raw rate gate cannot.
 //
 // It returns one violation string per failure; an empty slice means no
 // regression. threshold absorbs noise (the CI gate uses 0.15).
@@ -239,16 +167,6 @@ func Compare(baseline, current *Report, threshold float64) []string {
 			violations = append(violations,
 				fmt.Sprintf("%s: allocs/event regressed %.2f -> %.2f (ceiling %.2f at %.0f%% threshold)",
 					old.Name, old.AllocsPerEvent, now.AllocsPerEvent, ceil, threshold*100))
-		}
-		// Gate the speedup ratio only where the baseline shows a material
-		// kernel dependence: near 1.0 the ratio is a quotient of two
-		// noisy walls and carries no signal worth failing a build over.
-		if old.Speedup >= 1.25 && now.Speedup > 0 {
-			if floor := old.Speedup * (1 - threshold); now.Speedup < floor {
-				violations = append(violations,
-					fmt.Sprintf("%s: kernel speedup regressed %.2fx -> %.2fx (floor %.2fx at %.0f%% threshold)",
-						old.Name, old.Speedup, now.Speedup, floor, threshold*100))
-			}
 		}
 	}
 	for _, old := range baseline.Cases {

@@ -74,11 +74,10 @@ type Engine struct {
 	running bool
 	fired   uint64
 
-	pooling bool
-	free    []*timerNode
-	gets    uint64
-	puts    uint64
-	news    uint64
+	free []*timerNode
+	gets uint64
+	puts uint64
+	news uint64
 }
 
 // engineObserver, when set, is invoked from NewEngine with every engine
@@ -93,19 +92,7 @@ var engineObserver func(*Engine)
 // construction; intended for the perf harness only.
 func SetEngineObserver(fn func(*Engine)) { engineObserver = fn }
 
-// defaultPooling seeds new engines' timer-node recycling mode; tests flip
-// it to run whole harnesses under the one-allocation-per-event reference
-// behaviour.
-var defaultPooling = true
-
-// SetPoolingDefault sets whether engines created from now on recycle
-// timer nodes. Not safe for concurrent use with NewEngine; intended for
-// tests and the perf battery only.
-func SetPoolingDefault(on bool) { defaultPooling = on }
-
-// NewEngine returns an engine with the clock at 0. Timer-node pooling is
-// enabled by default; SetPooling(false) reverts to one allocation per
-// scheduled event (the reference behaviour for equivalence tests).
+// NewEngine returns an engine with the clock at 0.
 func NewEngine() *Engine {
 	e := &Engine{
 		events: pq.New(func(a, b *timerNode) bool {
@@ -114,18 +101,12 @@ func NewEngine() *Engine {
 			}
 			return a.seq < b.seq
 		}),
-		pooling: defaultPooling,
 	}
 	if engineObserver != nil {
 		engineObserver(e)
 	}
 	return e
 }
-
-// SetPooling enables or disables timer-node recycling. Pooling is purely
-// an allocation strategy: event ordering and timestamps are identical
-// either way.
-func (e *Engine) SetPooling(on bool) { e.pooling = on }
 
 // PoolStats returns the timer-node pool counters.
 func (e *Engine) PoolStats() PoolStats {
@@ -139,8 +120,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// getNode returns a timer node, recycling from the free list when pooling
-// is enabled.
+// getNode returns a timer node, recycling from the free list when it is
+// non-empty.
 func (e *Engine) getNode() *timerNode {
 	if n := len(e.free); n > 0 {
 		nd := e.free[n-1]
@@ -159,10 +140,8 @@ func (e *Engine) putNode(nd *timerNode) {
 	nd.gen++
 	nd.fn = nil
 	nd.canceled = false
-	if e.pooling {
-		e.free = append(e.free, nd)
-		e.puts++
-	}
+	e.free = append(e.free, nd)
+	e.puts++
 }
 
 // Schedule runs fn after delay seconds of virtual time. A non-positive

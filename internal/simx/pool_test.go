@@ -1,43 +1,36 @@
-package perf
+package simx
 
-import (
-	"testing"
+import "testing"
 
-	"rupam/internal/chaos"
-	"rupam/internal/simx"
-)
-
-// TestPoolingBitIdentity is the timer-pooling optimization's safety
-// case. A chaos soak with pooling enabled (the default) self-verifies
-// bit-identical double runs and the full invariant battery; the same
-// seeds with pooling disabled — one heap allocation per event, the
-// reference allocation strategy — must land on the same fingerprints.
-func TestPoolingBitIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak is a multi-second sweep")
-	}
-	seeds := []uint64{5, 17}
-
-	pooled := chaos.Soak(chaos.Config{Seeds: seeds})
-	if pooled.Violations != 0 {
-		for _, r := range pooled.Runs {
-			for _, v := range r.Violations {
-				t.Errorf("%s seed %d: %s", r.Scheduler, r.Seed, v)
-			}
+// TestStaleTimerHandle is the safety case for recycling timer nodes: a
+// handle kept after its event left the heap — fired, or popped after a
+// cancel — points at a node that a later Schedule reuses. The stale
+// handle must read as no longer armed and must not reach the new event.
+func TestStaleTimerHandle(t *testing.T) {
+	for _, cancelFirst := range []bool{false, true} {
+		eng := NewEngine()
+		old := eng.Schedule(1, func() {})
+		if cancelFirst {
+			old.Cancel()
 		}
-		t.Fatalf("pooled chaos soak reported %d violations", pooled.Violations)
-	}
+		eng.Run()
 
-	simx.SetPoolingDefault(false)
-	unpooled := chaos.Soak(chaos.Config{Seeds: seeds, SkipVerify: true})
-	simx.SetPoolingDefault(true)
-	if len(unpooled.Runs) != len(pooled.Runs) {
-		t.Fatalf("run count mismatch: %d pooled, %d unpooled", len(pooled.Runs), len(unpooled.Runs))
-	}
-	for i, r := range pooled.Runs {
-		if unpooled.Runs[i].Fingerprint != r.Fingerprint {
-			t.Errorf("%s seed %d: fingerprint %s pooled, %s unpooled",
-				r.Scheduler, r.Seed, r.Fingerprint, unpooled.Runs[i].Fingerprint)
+		fired := false
+		cur := eng.Schedule(1, func() { fired = true })
+		if cur.n != old.n {
+			t.Fatalf("cancelFirst=%v: drained node was not recycled into the next event", cancelFirst)
+		}
+		if !old.Canceled() || old.Active() {
+			t.Fatalf("cancelFirst=%v: stale handle reports armed (Canceled %v, Active %v)",
+				cancelFirst, old.Canceled(), old.Active())
+		}
+		old.Cancel()
+		if cur.Canceled() {
+			t.Fatalf("cancelFirst=%v: stale handle cancelled the event recycled into its node", cancelFirst)
+		}
+		eng.Run()
+		if !fired {
+			t.Fatalf("cancelFirst=%v: recycled event did not fire", cancelFirst)
 		}
 	}
 }
@@ -49,7 +42,7 @@ func TestPoolingBitIdentity(t *testing.T) {
 // list (nothing stuck in the heap, nothing dropped for the GC to
 // collect and the next wave to re-allocate).
 func TestPoolSteadyState(t *testing.T) {
-	eng := simx.NewEngine()
+	eng := NewEngine()
 	const depth, events = 48, 20_000
 
 	wave := func() {
