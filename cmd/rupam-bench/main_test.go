@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -51,5 +52,45 @@ func TestStreamingExperimentCLI(t *testing.T) {
 	if !strings.Contains(string(j), "\"violations\": 0") ||
 		strings.Contains(string(j), "\"gate_violations\"") {
 		t.Fatalf("JSON artifact not clean:\n%s", j)
+	}
+}
+
+// TestCommittedCSVs regenerates the raw series behind Figures 2, 3 and 9
+// with -csv and requires every file to match its committed copy in
+// results_csv/ byte for byte: the committed series are the repository's
+// claim about what the simulator produces.
+func TestCommittedCSVs(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "rupam-bench")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	csvDir := filepath.Join(dir, "csv")
+	for _, exp := range []string{"fig2", "fig3", "fig9"} {
+		if out, err := exec.Command(bin, "-experiment", exp, "-csv", csvDir).CombinedOutput(); err != nil {
+			t.Fatalf("%s: %v\n%s", exp, err, out)
+		}
+	}
+	files, err := os.ReadDir(csvDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 4 {
+		t.Fatalf("wrote %d CSV files, want 4 (fig2_trace, fig3_tasks, fig9_spark, fig9_rupam)", len(files))
+	}
+	for _, f := range files {
+		got, err := os.ReadFile(filepath.Join(csvDir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results_csv", f.Name()))
+		if err != nil {
+			t.Fatalf("%s has no committed copy: %v", f.Name(), err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from results_csv/%s; regenerate it with rupam-bench -experiment %s -csv results_csv",
+				f.Name(), f.Name(), strings.SplitN(f.Name(), "_", 2)[0])
+		}
 	}
 }

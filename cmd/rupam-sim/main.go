@@ -78,6 +78,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -102,66 +103,52 @@ func usageError(format string, args ...interface{}) {
 	os.Exit(2)
 }
 
-// preemptPlan collects repeated -preempt NODE:AT:GRACE values into spot
-// reclamation events.
-type preemptPlan []faults.Event
+// nodeEvents collects repeated NODE:AT:DURATION flag values into fault
+// events of one kind. durName, atWhat and durWhat word the flag's syntax
+// and its errors for that kind.
+type nodeEvents struct {
+	kind            faults.Kind
+	durName         string
+	atWhat, durWhat string
+	events          []faults.Event
+}
 
-func (p *preemptPlan) String() string {
+func (p *nodeEvents) String() string {
 	var parts []string
-	for _, ev := range *p {
+	for _, ev := range p.events {
 		parts = append(parts, fmt.Sprintf("%s:%g:%g", ev.Node, ev.At, ev.Duration))
 	}
 	return strings.Join(parts, ",")
 }
 
-func (p *preemptPlan) Set(s string) error {
+func (p *nodeEvents) Set(s string) error {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 || parts[0] == "" {
-		return fmt.Errorf("want NODE:AT:GRACE, got %q", s)
+		return fmt.Errorf("want NODE:AT:%s, got %q", p.durName, s)
 	}
 	at, err := strconv.ParseFloat(parts[1], 64)
 	if err != nil || at < 0 {
-		return fmt.Errorf("notice time %q must be a non-negative number of seconds", parts[1])
+		return fmt.Errorf("%s %q must be a non-negative number of seconds", p.atWhat, parts[1])
 	}
-	grace, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || grace <= 0 {
-		return fmt.Errorf("grace window %q must be a positive number of seconds", parts[2])
+	dur, err := strconv.ParseFloat(parts[2], 64)
+	if err != nil || dur <= 0 {
+		return fmt.Errorf("%s %q must be a positive number of seconds", p.durWhat, parts[2])
 	}
-	*p = append(*p, faults.Event{
-		Kind: faults.SpotPreempt, Node: parts[0], At: at, Duration: grace,
+	p.events = append(p.events, faults.Event{
+		Kind: p.kind, Node: parts[0], At: at, Duration: dur,
 	})
 	return nil
 }
 
-// agentCrashPlan collects repeated -agent-crash NODE:AT:DOWNTIME values
-// into federation agent kill points.
-type agentCrashPlan []faults.Event
-
-func (p *agentCrashPlan) String() string {
-	var parts []string
-	for _, ev := range *p {
-		parts = append(parts, fmt.Sprintf("%s:%g:%g", ev.Node, ev.At, ev.Duration))
+// checkNodes exits with a usage error if an event names a node that the
+// cluster, whose node names are names, does not have.
+func (p *nodeEvents) checkNodes(flagName, clusterName string, names []string) {
+	for _, ev := range p.events {
+		if !slices.Contains(names, ev.Node) {
+			usageError("-%s names unknown node %q (cluster %s has: %s)",
+				flagName, ev.Node, clusterName, strings.Join(names, ", "))
+		}
 	}
-	return strings.Join(parts, ",")
-}
-
-func (p *agentCrashPlan) Set(s string) error {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 || parts[0] == "" {
-		return fmt.Errorf("want NODE:AT:DOWNTIME, got %q", s)
-	}
-	at, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil || at < 0 {
-		return fmt.Errorf("crash time %q must be a non-negative number of seconds", parts[1])
-	}
-	down, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil || down <= 0 {
-		return fmt.Errorf("downtime %q must be a positive number of seconds", parts[2])
-	}
-	*p = append(*p, faults.Event{
-		Kind: faults.AgentCrash, Node: parts[0], At: at, Duration: down,
-	})
-	return nil
 }
 
 func main() {
@@ -175,9 +162,11 @@ func main() {
 	compare := flag.Bool("compare", false, "run under both schedulers and compare")
 	charDB := flag.String("chardb", "", "persist RUPAM's DB_taskchar across invocations")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "inject a random gray-failure fault plan drawn with this seed (0 = none)")
-	var preempts preemptPlan
+	preempts := nodeEvents{kind: faults.SpotPreempt, durName: "GRACE",
+		atWhat: "notice time", durWhat: "grace window"}
 	flag.Var(&preempts, "preempt", "spot-preempt NODE at time AT with a GRACE-second notice window, as NODE:AT:GRACE (repeatable)")
-	var agentCrashes agentCrashPlan
+	agentCrashes := nodeEvents{kind: faults.AgentCrash, durName: "DOWNTIME",
+		atWhat: "crash time", durWhat: "downtime"}
 	flag.Var(&agentCrashes, "agent-crash", "kill NODE's placement agent at time AT and restart it DOWNTIME seconds later, as NODE:AT:DOWNTIME (repeatable, federated runs only)")
 	walPath := flag.String("wal", "", "append the driver write-ahead log to this file")
 	crashAt := flag.Float64("crash-at", 0, "kill the driver at this virtual time in seconds and recover from the WAL (0 = never)")
@@ -228,7 +217,7 @@ func main() {
 				usageError("-%s does not apply to a federated run; drop it or -drivers", bad)
 			}
 		}
-	} else if len(agentCrashes) > 0 {
+	} else if len(agentCrashes.events) > 0 {
 		usageError("-agent-crash applies only to a federated run; add -drivers N (N > 1)")
 	}
 	if (*walPath != "" || *crashAt > 0) && *compare {
@@ -245,8 +234,13 @@ func main() {
 		traceFile = f
 	}
 
+	// The reference node list fault plans are drawn over and flag values
+	// are checked against. Federated and streaming runs reject -cluster,
+	// so they get Hydra too.
+	nodes := experiments.BuildCluster(simx.NewEngine(), *clusterName).NodeNames()
+
 	if *streamingRun {
-		runStreaming(*seed, *placerName, *sloMs, *chaosSeed, traceFile, *tracePath)
+		runStreaming(*seed, *placerName, *sloMs, *chaosSeed, nodes, traceFile, *tracePath)
 		return
 	}
 
@@ -264,26 +258,15 @@ func main() {
 			Seed:     *seed,
 		}
 		if *chaosSeed > 0 {
-			names := experiments.BuildCluster(simx.NewEngine(), "hydra").NodeNames()
 			cfg.Spark = chaos.HardenedConfig(*seed)
-			cfg.Faults = faults.RandomSchedule(*chaosSeed, names, chaos.FederationGen())
+			cfg.Faults = faults.RandomSchedule(*chaosSeed, nodes, chaos.FederationGen())
 		}
-		if len(agentCrashes) > 0 {
-			names := experiments.BuildCluster(simx.NewEngine(), "hydra").NodeNames()
-			known := make(map[string]bool, len(names))
-			for _, n := range names {
-				known[n] = true
-			}
-			for _, ev := range agentCrashes {
-				if !known[ev.Node] {
-					usageError("-agent-crash names unknown node %q (cluster hydra has: %s)",
-						ev.Node, strings.Join(names, ", "))
-				}
-			}
+		if len(agentCrashes.events) > 0 {
+			agentCrashes.checkNodes("agent-crash", *clusterName, nodes)
 			if cfg.Faults == nil {
 				cfg.Faults = &faults.Schedule{}
 			}
-			cfg.Faults.Events = append(cfg.Faults.Events, agentCrashes...)
+			cfg.Faults.Events = append(cfg.Faults.Events, agentCrashes.events...)
 			if err := cfg.Faults.Validate(); err != nil {
 				usageError("-agent-crash plan invalid: %v", err)
 			}
@@ -300,9 +283,8 @@ func main() {
 		Seed:      *seed,
 	}
 	if *chaosSeed > 0 {
-		names := experiments.BuildCluster(simx.NewEngine(), *clusterName).NodeNames()
 		spec.Spark = chaos.HardenedConfig(*seed)
-		spec.Spark.Faults = faults.RandomSchedule(*chaosSeed, names, chaos.DefaultGen())
+		spec.Spark.Faults = faults.RandomSchedule(*chaosSeed, nodes, chaos.DefaultGen())
 	}
 	if *crashAt > 0 {
 		if spec.Spark.Faults == nil {
@@ -312,22 +294,12 @@ func main() {
 			Kind: faults.DriverCrash, At: *crashAt, Duration: *restartAfter,
 		})
 	}
-	if len(preempts) > 0 {
-		names := experiments.BuildCluster(simx.NewEngine(), *clusterName).NodeNames()
-		known := make(map[string]bool, len(names))
-		for _, n := range names {
-			known[n] = true
-		}
-		for _, ev := range preempts {
-			if !known[ev.Node] {
-				usageError("-preempt names unknown node %q (cluster %s has: %s)",
-					ev.Node, *clusterName, strings.Join(names, ", "))
-			}
-		}
+	if len(preempts.events) > 0 {
+		preempts.checkNodes("preempt", *clusterName, nodes)
 		if spec.Spark.Faults == nil {
 			spec.Spark.Faults = &faults.Schedule{}
 		}
-		spec.Spark.Faults.Events = append(spec.Spark.Faults.Events, preempts...)
+		spec.Spark.Faults.Events = append(spec.Spark.Faults.Events, preempts.events...)
 	}
 	// Open the WAL sink up front, like -trace: a typo'd path must fail
 	// before the simulation runs. The runtime stamps the log with its own
@@ -415,11 +387,10 @@ func validateStreamingFlags(streamingRun bool, placer string, sloMs float64, exp
 
 // runStreaming executes one streaming topology and prints its report.
 // Invariant violations exit 1.
-func runStreaming(seed uint64, placer string, sloMs float64, chaosSeed uint64, traceFile *os.File, tracePath string) {
+func runStreaming(seed uint64, placer string, sloMs float64, chaosSeed uint64, nodes []string, traceFile *os.File, tracePath string) {
 	cfg := streaming.Config{Seed: seed, Placer: placer, SLOMs: sloMs}
 	if chaosSeed > 0 {
-		names := experiments.BuildCluster(simx.NewEngine(), "hydra").NodeNames()
-		cfg.Faults = faults.RandomSchedule(chaosSeed, names, chaos.StreamingGen())
+		cfg.Faults = faults.RandomSchedule(chaosSeed, nodes, chaos.StreamingGen())
 	}
 	if traceFile != nil {
 		cfg.Collector = tracing.NewCollector()

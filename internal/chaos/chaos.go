@@ -21,45 +21,62 @@ import (
 	"rupam/internal/hdfs"
 	"rupam/internal/simx"
 	"rupam/internal/spark"
+	"rupam/internal/task"
 	"rupam/internal/workloads"
 )
 
 // Config parameterizes a soak sweep. The zero value (plus Seeds) is a
-// usable configuration: a reduced PageRank under DefaultGen faults, both
-// schedulers, every seed run twice for the determinism check.
+// usable configuration: both schedulers, every seed run twice for the
+// determinism check.
 type Config struct {
-	// Workload is a package workloads name; default "PR" with reduced
-	// parameters (chaos wants many short runs, not a few long ones).
-	Workload string
-	// Params overrides the workload defaults (zero fields keep the
-	// chaos-reduced ones).
-	Params workloads.Params
 	// Schedulers to drive; default both ("spark", "rupam").
 	Schedulers []string
 	// Seeds are the fault-plan seeds to sweep.
 	Seeds []uint64
-	// Gen parameterizes faults.RandomSchedule; zero value takes
-	// DefaultGen.
-	Gen faults.GenConfig
 	// SkipVerify disables the second (bit-identity) run per seed.
 	SkipVerify bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workload == "" {
-		c.Workload = "PR"
-	}
-	if c.Workload == "PR" && c.Params.InputGB == 0 && c.Params.Partitions == 0 &&
-		c.Params.Iterations == 0 {
-		c.Params = workloads.Params{InputGB: 0.5, Partitions: 16, Iterations: 2}
-	}
 	if len(c.Schedulers) == 0 {
 		c.Schedulers = []string{"spark", "rupam"}
 	}
-	if c.Gen == (faults.GenConfig{}) {
-		c.Gen = DefaultGen()
-	}
 	return c
+}
+
+// soakWorkload is the package workloads name every Config sweep runs,
+// with reduced parameters: chaos wants many short runs, not a few long
+// ones.
+const soakWorkload = "PR"
+
+// soakRun builds one run of the soak workload on a fresh Hydra cluster
+// under scheduler and HardenedConfig(seed), with the fault plan that plan
+// draws over the cluster's nodes. Data placement and the workload's own
+// seed derive from seed as experiments.Run derives them.
+func soakRun(seed uint64, scheduler string, plan func(nodes []string) *faults.Schedule) (*spark.Runtime, *task.Application) {
+	eng := simx.NewEngine()
+	clu := cluster.New(eng)
+	cluster.NewHydra(clu)
+	store := hdfs.NewStore(clu.NodeNames(), 2, seed*2654435761+1)
+	app := workloads.Build(soakWorkload, store, workloads.Params{
+		InputGB: 0.5, Partitions: 16, Iterations: 2, Seed: seed*7 + 42,
+	})
+
+	faultPlan := plan(clu.NodeNames())
+
+	var sched spark.Scheduler
+	switch scheduler {
+	case "rupam":
+		sched = core.New(core.Config{})
+	case "spark":
+		sched = spark.NewDefaultScheduler()
+	default:
+		panic(fmt.Sprintf("chaos: unknown scheduler %q", scheduler))
+	}
+
+	scfg := HardenedConfig(seed)
+	scfg.Faults = faultPlan
+	return spark.NewRuntime(eng, clu, sched, scfg), app
 }
 
 // DefaultGen is the soak sweep's fault mix: one crash (sometimes
@@ -131,7 +148,7 @@ type Report struct {
 // inconsistency) is recorded as a violation on its record.
 func Soak(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	rep := &Report{Workload: cfg.Workload, Seeds: cfg.Seeds}
+	rep := &Report{Workload: soakWorkload, Seeds: cfg.Seeds}
 	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.runSeed)
 	return rep
 }
@@ -144,32 +161,11 @@ func (r *RunRecord) verdict() (string, *[]string, *string) {
 // invariants.
 func (cfg Config) runSeed(rec *RunRecord, seed uint64, scheduler string) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	eng := simx.NewEngine()
-	clu := cluster.New(eng)
-	cluster.NewHydra(clu)
-	store := hdfs.NewStore(clu.NodeNames(), 2, seed*2654435761+1)
-	p := cfg.Params
-	if p.Seed == 0 {
-		p.Seed = seed*7 + 42
-	}
-	app := workloads.Build(cfg.Workload, store, p)
-
-	plan := faults.RandomSchedule(seed, clu.NodeNames(), cfg.Gen)
-	rec.Events = len(plan.Events)
-
-	var sched spark.Scheduler
-	switch scheduler {
-	case "rupam":
-		sched = core.New(core.Config{})
-	case "spark":
-		sched = spark.NewDefaultScheduler()
-	default:
-		panic(fmt.Sprintf("chaos: unknown scheduler %q", scheduler))
-	}
-
-	scfg := HardenedConfig(seed)
-	scfg.Faults = plan
-	rt := spark.NewRuntime(eng, clu, sched, scfg)
+	rt, app := soakRun(seed, scheduler, func(nodes []string) *faults.Schedule {
+		plan := faults.RandomSchedule(seed, nodes, DefaultGen())
+		rec.Events = len(plan.Events)
+		return plan
+	})
 	res := rt.Run(app)
 
 	rec.Duration = res.Duration

@@ -21,35 +21,20 @@ import (
 // acceptance scenarios run once per soak as a fast preamble, so a
 // protocol regression fails before any expensive sweep.
 
-// FederationConfig parameterizes a federation soak sweep. The zero value
-// (plus Seeds) is usable: two drivers, four apps, FederationGen faults,
-// every seed run twice for the bit-identity check.
+// FederationConfig parameterizes a federation soak sweep: every seed
+// runs federationDrivers drivers and federationApps apps under
+// FederationGen faults, twice for the bit-identity check.
 type FederationConfig struct {
 	// Seeds are the sweep's plan seeds.
 	Seeds []uint64
-	// Drivers is the scheduler shard count per run (default 2).
-	Drivers int
-	// Apps is the application count per run (default 4).
-	Apps int
-	// Gen parameterizes faults.RandomSchedule; zero value takes
-	// FederationGen.
-	Gen faults.GenConfig
-	// SkipVerify disables the second (bit-identity) run per seed.
-	SkipVerify bool
 }
 
-func (c FederationConfig) withDefaults() FederationConfig {
-	if c.Drivers == 0 {
-		c.Drivers = 2
-	}
-	if c.Apps == 0 {
-		c.Apps = 4
-	}
-	if c.Gen.Horizon == 0 && c.Gen.DriverCrashes == 0 && c.Gen.MsgDrops == 0 {
-		c.Gen = FederationGen()
-	}
-	return c
-}
+const (
+	// federationDrivers is the scheduler shard count per run.
+	federationDrivers = 2
+	// federationApps is the application count per run.
+	federationApps = 4
+)
 
 // FederationGen is the federation sweep's fault mix: the default node
 // faults stretched over the longer multi-application horizon, two driver
@@ -108,8 +93,7 @@ type FederationReport struct {
 // FederationSoak sweeps every seed. Panicking runs are recorded as
 // violations, never propagated.
 func FederationSoak(cfg FederationConfig) *FederationReport {
-	cfg = cfg.withDefaults()
-	rep := &FederationReport{Seeds: cfg.Seeds, Drivers: cfg.Drivers}
+	rep := &FederationReport{Seeds: cfg.Seeds, Drivers: federationDrivers}
 
 	// Acceptance preamble: the scripted interleavings must hold before
 	// any randomized sweep is worth running.
@@ -123,7 +107,7 @@ func FederationSoak(cfg FederationConfig) *FederationReport {
 		}
 	}
 
-	runs, violations := sweep(cfg.Seeds, []string{""}, cfg.SkipVerify, cfg.runSeed)
+	runs, violations := sweep(cfg.Seeds, []string{""}, false, cfg.runSeed)
 	rep.Runs = append(rep.Runs, runs...)
 	rep.Violations += violations
 	return rep
@@ -138,13 +122,14 @@ func (r *FederationRunRecord) verdict() (string, *[]string, *string) {
 // checks. Federation has no scheduler variants: the sweep's single
 // variant is unnamed.
 func (cfg FederationConfig) runSeed(rec *FederationRunRecord, seed uint64, _ string) {
-	rec.Seed, rec.Drivers = seed, cfg.Drivers
-	plan := faults.RandomSchedule(seed, hydra().NodeNames(), cfg.Gen)
+	rec.Seed, rec.Drivers = seed, federationDrivers
+	gen := FederationGen()
+	plan := faults.RandomSchedule(seed, hydra().NodeNames(), gen)
 	rec.Events = len(plan.Events)
 
 	res := federation.Run(federation.Config{
-		Drivers: cfg.Drivers,
-		Apps:    cfg.Apps,
+		Drivers: federationDrivers,
+		Apps:    federationApps,
 		Seed:    seed,
 		Faults:  plan,
 		Spark:   tenancyHardened(),
@@ -167,9 +152,9 @@ func (cfg FederationConfig) runSeed(rec *FederationRunRecord, seed uint64, _ str
 	// The sweep's whole point is exercising the agent fault domain: a plan
 	// that drew agent crashes but never landed one is a harness regression,
 	// not a lucky seed.
-	if cfg.Gen.AgentCrashes > 0 && res.AgentCrashes == 0 {
+	if gen.AgentCrashes > 0 && res.AgentCrashes == 0 {
 		rec.Violations = append(rec.Violations, fmt.Sprintf(
-			"plan drew %d agent crashes but none fired", cfg.Gen.AgentCrashes))
+			"plan drew %d agent crashes but none fired", gen.AgentCrashes))
 	}
 
 	// Per-application battery: completion, attempt and queue-drain

@@ -27,15 +27,6 @@ type PreemptConfig struct {
 	Schedulers []string
 	// Seeds are the sweep's plan seeds.
 	Seeds []uint64
-	// Apps is the arrival count per run (default 4).
-	Apps int
-	// MeanGap is the mean inter-arrival gap in seconds (default 20).
-	MeanGap float64
-	// SpotNodes are the spot-billed (reclaimable) instances; default
-	// DefaultSpotNodes. The driver node is never a sensible member.
-	SpotNodes []string
-	// Gen parameterizes faults.SpotSchedule; zero value takes PreemptGen.
-	Gen faults.GenConfig
 	// IgnoreNotices runs the notice-blind baseline substrate instead of the
 	// graceful drain (the drain-protocol record checks are then skipped —
 	// there is no protocol to audit, only crash-style recovery).
@@ -48,20 +39,15 @@ func (c PreemptConfig) withDefaults() PreemptConfig {
 	if len(c.Schedulers) == 0 {
 		c.Schedulers = []string{"spark", "rupam"}
 	}
-	if c.Apps == 0 {
-		c.Apps = 4
-	}
-	if c.MeanGap == 0 {
-		c.MeanGap = 20
-	}
-	if len(c.SpotNodes) == 0 {
-		c.SpotNodes = DefaultSpotNodes()
-	}
-	if c.Gen == (faults.GenConfig{}) {
-		c.Gen = PreemptGen()
-	}
 	return c
 }
+
+const (
+	// preemptApps is the arrival count per run.
+	preemptApps = 4
+	// preemptMeanGap is the mean inter-arrival gap in seconds.
+	preemptMeanGap = 20.0
+)
 
 // PreemptGen is the soak's reclamation horizon and grace bounds; the
 // per-node rates come from the market hazards, not from here.
@@ -128,7 +114,7 @@ type PreemptReport struct {
 // recorded as violations, never propagated.
 func PreemptionSoak(cfg PreemptConfig) *PreemptReport {
 	cfg = cfg.withDefaults()
-	rep := &PreemptReport{Seeds: cfg.Seeds, SpotNodes: cfg.SpotNodes}
+	rep := &PreemptReport{Seeds: cfg.Seeds, SpotNodes: DefaultSpotNodes()}
 	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.runSeed)
 	return rep
 }
@@ -141,18 +127,19 @@ func (r *PreemptRunRecord) verdict() (string, *[]string, *string) {
 // checks the full battery.
 func (cfg PreemptConfig) runSeed(rec *PreemptRunRecord, seed uint64, scheduler string) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	plan := faults.SpotSchedule(seed, cfg.SpotNodes, SpotHazards(nil, cfg.SpotNodes), cfg.Gen)
+	spot := DefaultSpotNodes()
+	plan := faults.SpotSchedule(seed, spot, SpotHazards(nil, spot), PreemptGen())
 	rec.Events = len(plan.Events)
 
 	m := tenant.NewManager(tenant.Config{
 		Scheduler: scheduler,
 		Seed:      seed,
-		Arrivals:  tenant.ArrivalConfig{Count: cfg.Apps, MeanGap: cfg.MeanGap},
+		Arrivals:  tenant.ArrivalConfig{Count: preemptApps, MeanGap: preemptMeanGap},
 		Faults:    plan,
 		Spark:     tenancyHardened(),
 		Elastic: tenant.ElasticConfig{
 			Enabled:       true,
-			SpotNodes:     cfg.SpotNodes,
+			SpotNodes:     spot,
 			IgnoreNotices: cfg.IgnoreNotices,
 		},
 	})

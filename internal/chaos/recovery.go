@@ -15,15 +15,10 @@ import (
 	"io"
 	"sort"
 
-	"rupam/internal/cluster"
-	"rupam/internal/core"
 	"rupam/internal/faults"
-	"rupam/internal/hdfs"
-	"rupam/internal/simx"
 	"rupam/internal/spark"
 	"rupam/internal/task"
 	"rupam/internal/wal"
-	"rupam/internal/workloads"
 )
 
 // RecoveryRecord is one (scheduler, seed) crash-recovery trial.
@@ -57,13 +52,10 @@ type RecoveryReport struct {
 	Violations int              `json:"violations"`
 }
 
-// recoveryGen derives the sweep's fault mix: the configured mix plus at
-// least one driver crash.
-func recoveryGen(cfg Config) faults.GenConfig {
-	gen := cfg.Gen
-	if gen.DriverCrashes == 0 {
-		gen.DriverCrashes = 1
-	}
+// recoveryGen is the sweep's fault mix: DefaultGen plus one driver crash.
+func recoveryGen() faults.GenConfig {
+	gen := DefaultGen()
+	gen.DriverCrashes = 1
 	return gen
 }
 
@@ -72,36 +64,14 @@ func recoveryGen(cfg Config) faults.GenConfig {
 // reference (crash=false). Everything else — cluster, data placement,
 // workload, worker faults — is identical between the two, so their final
 // task outcomes are directly comparable.
-func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.Result, *spark.Runtime) {
-	cfg = cfg.withDefaults()
-	eng := simx.NewEngine()
-	clu := cluster.New(eng)
-	cluster.NewHydra(clu)
-	store := hdfs.NewStore(clu.NodeNames(), 2, seed*2654435761+1)
-	p := cfg.Params
-	if p.Seed == 0 {
-		p.Seed = seed*7 + 42
-	}
-	app := workloads.Build(cfg.Workload, store, p)
-
-	plan := faults.RandomSchedule(seed, clu.NodeNames(), recoveryGen(cfg))
-	if !crash {
-		plan = plan.WithoutKind(faults.DriverCrash)
-	}
-
-	var sched spark.Scheduler
-	switch scheduler {
-	case "rupam":
-		sched = core.New(core.Config{})
-	case "spark":
-		sched = spark.NewDefaultScheduler()
-	default:
-		panic(fmt.Sprintf("chaos: unknown scheduler %q", scheduler))
-	}
-
-	scfg := HardenedConfig(seed)
-	scfg.Faults = plan
-	rt := spark.NewRuntime(eng, clu, sched, scfg)
+func RecoveryRun(scheduler string, seed uint64, crash bool) (*spark.Result, *spark.Runtime) {
+	rt, app := soakRun(seed, scheduler, func(nodes []string) *faults.Schedule {
+		plan := faults.RandomSchedule(seed, nodes, recoveryGen())
+		if !crash {
+			plan = plan.WithoutKind(faults.DriverCrash)
+		}
+		return plan
+	})
 	return rt.Run(app), rt
 }
 
@@ -110,7 +80,7 @@ func RecoveryRun(cfg Config, scheduler string, seed uint64, crash bool) (*spark.
 // panicking run is recorded as a violation, never propagated.
 func RecoverySoak(cfg Config) *RecoveryReport {
 	cfg = cfg.withDefaults()
-	rep := &RecoveryReport{Workload: cfg.Workload, Seeds: cfg.Seeds}
+	rep := &RecoveryReport{Workload: soakWorkload, Seeds: cfg.Seeds}
 	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Schedulers, cfg.SkipVerify, cfg.recoverySeed)
 	for _, rec := range rep.Runs {
 		if rec.CrashFired {
@@ -128,8 +98,8 @@ func (r *RecoveryRecord) verdict() (string, *[]string, *string) {
 // recovery battery.
 func (cfg Config) recoverySeed(rec *RecoveryRecord, seed uint64, scheduler string) {
 	rec.Scheduler, rec.Seed = scheduler, seed
-	res, rt := RecoveryRun(cfg, scheduler, seed, true)
-	refRes, _ := RecoveryRun(cfg, scheduler, seed, false)
+	res, rt := RecoveryRun(scheduler, seed, true)
+	refRes, _ := RecoveryRun(scheduler, seed, false)
 
 	rec.CrashFired = res.DriverCrashes > 0
 	rec.Recoveries = res.DriverRecoveries

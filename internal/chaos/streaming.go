@@ -18,27 +18,17 @@ type StreamingConfig struct {
 	Seeds []uint64
 	// Placers to drive; default all of streaming.PlacerNames.
 	Placers []string
-	// Gen parameterizes faults.RandomSchedule; zero value takes
-	// StreamingGen.
-	Gen faults.GenConfig
-	// Horizon is per-run source time (default 100 s).
-	Horizon float64
-	// SkipVerify disables the second (bit-identity) run per seed.
-	SkipVerify bool
 }
 
 func (c StreamingConfig) withDefaults() StreamingConfig {
 	if len(c.Placers) == 0 {
 		c.Placers = streaming.PlacerNames
 	}
-	if c.Gen == (faults.GenConfig{}) {
-		c.Gen = StreamingGen()
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 100
-	}
 	return c
 }
+
+// streamingHorizon is per-run source time in seconds.
+const streamingHorizon = 100.0
 
 // StreamingGen is the streaming soak's fault mix: a crash (sometimes
 // permanent), two gray CPU-throttle windows, a spot reclamation with a
@@ -98,7 +88,7 @@ type StreamingReport struct {
 func StreamingSoak(cfg StreamingConfig) *StreamingReport {
 	cfg = cfg.withDefaults()
 	rep := &StreamingReport{Seeds: cfg.Seeds}
-	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Placers, cfg.SkipVerify, cfg.runSeed)
+	rep.Runs, rep.Violations = sweep(cfg.Seeds, cfg.Placers, false, cfg.runSeed)
 	return rep
 }
 
@@ -110,16 +100,16 @@ func (r *StreamingRunRecord) verdict() (string, *[]string, *string) {
 // battery.
 func (cfg StreamingConfig) runSeed(rec *StreamingRunRecord, seed uint64, placer string) {
 	rec.Placer, rec.Seed = placer, seed
-	plan := faults.RandomSchedule(seed, hydra().NodeNames(), cfg.Gen)
+	plan := faults.RandomSchedule(seed, hydra().NodeNames(), StreamingGen())
 	rec.Events = len(plan.Events)
 
 	res := streaming.Run(streaming.Config{
 		Seed:           seed,
 		Placer:         placer,
-		Horizon:        cfg.Horizon,
-		Warmup:         cfg.Horizon / 5,
+		Horizon:        streamingHorizon,
+		Warmup:         streamingHorizon / 5,
 		Faults:         plan,
-		ForceMigrateAt: cfg.Horizon * 0.4,
+		ForceMigrateAt: streamingHorizon * 0.4,
 	})
 
 	rec.Drained = res.Drained

@@ -25,10 +25,6 @@ type TenancyConfig struct {
 	Schedulers []string
 	// Seeds are the sweep's plan seeds.
 	Seeds []uint64
-	// Apps is the arrival count per run (default 5).
-	Apps int
-	// MeanGap is the mean inter-arrival gap in seconds (default 25).
-	MeanGap float64
 	// Gen parameterizes faults.RandomSchedule; zero value takes
 	// TenancyGen.
 	Gen faults.GenConfig
@@ -36,15 +32,16 @@ type TenancyConfig struct {
 	SkipVerify bool
 }
 
+const (
+	// tenancyApps is the arrival count per run.
+	tenancyApps = 5
+	// tenancyMeanGap is the mean inter-arrival gap in seconds.
+	tenancyMeanGap = 25.0
+)
+
 func (c TenancyConfig) withDefaults() TenancyConfig {
 	if len(c.Schedulers) == 0 {
 		c.Schedulers = []string{"spark", "rupam"}
-	}
-	if c.Apps == 0 {
-		c.Apps = 5
-	}
-	if c.MeanGap == 0 {
-		c.MeanGap = 25
 	}
 	if c.Gen == (faults.GenConfig{}) {
 		c.Gen = TenancyGen()
@@ -111,7 +108,7 @@ func (cfg TenancyConfig) runSeed(rec *TenancyRunRecord, seed uint64, scheduler s
 	m := tenant.NewManager(tenant.Config{
 		Scheduler: scheduler,
 		Seed:      seed,
-		Arrivals:  tenant.ArrivalConfig{Count: cfg.Apps, MeanGap: cfg.MeanGap},
+		Arrivals:  tenant.ArrivalConfig{Count: tenancyApps, MeanGap: tenancyMeanGap},
 		Faults:    plan,
 		Spark:     tenancyHardened(),
 	})

@@ -117,8 +117,3 @@ func (m *Market) Hazard(class string) float64 {
 	}
 	return 0
 }
-
-// Offers returns the market's offers in (class, billing) order.
-func (m *Market) Offers() []InstanceOffer {
-	return append([]InstanceOffer(nil), m.offers...)
-}

@@ -56,8 +56,7 @@ func (o Outcome) String() string {
 
 // Config holds the physical constants of the execution model. The zero
 // value is completed by withDefaults; schedulers override HeapBytes (the
-// paper's static 14 GB for default Spark, per-node dynamic for RUPAM) and
-// DispatchDelay.
+// paper's static 14 GB for default Spark, per-node dynamic for RUPAM).
 type Config struct {
 	// HeapBytes is the executor's JVM heap, carved from node memory.
 	HeapBytes int64
@@ -66,19 +65,6 @@ type Config struct {
 	StorageFraction float64
 	// DriverNode receives result-task output flows.
 	DriverNode string
-	// DispatchDelay is the fixed scheduling/shipping latency per task.
-	DispatchDelay float64
-	// SerCPUPerByte is serialization compute cost in giga-cycles/byte.
-	SerCPUPerByte float64
-	// GCFactor scales garbage-collection time: seconds of GC per GB of
-	// allocation churn at the reference heap pressure.
-	GCFactor float64
-	// EvictGCPerGB is extra GC seconds per GB of cache evicted to admit a
-	// task (the LRU-management overhead of §IV-D).
-	EvictGCPerGB float64
-	// OOMRunFraction is how far through its compute estimate a doomed
-	// task gets before the allocation fails.
-	OOMRunFraction float64
 	// WorkerCrashProb is the probability an OOM kills the whole JVM.
 	WorkerCrashProb float64
 	// RestartDelay is worker recovery time after a crash.
@@ -94,24 +80,25 @@ type Config struct {
 	Tracer *tracing.Collector
 }
 
+const (
+	// dispatchDelay is the fixed scheduling/shipping latency per task.
+	dispatchDelay = 0.04
+	// serCPUPerByte is serialization compute cost in giga-cycles/byte.
+	serCPUPerByte = 2e-9
+	// gcFactor scales garbage-collection time: seconds of GC per GB of
+	// allocation churn at the reference heap pressure.
+	gcFactor = 0.8
+	// evictGCPerGB is extra GC seconds per GB of cache evicted to admit a
+	// task (the LRU-management overhead of §IV-D).
+	evictGCPerGB = 0.4
+	// oomRunFraction is how far through its compute estimate a doomed
+	// task gets before the allocation fails.
+	oomRunFraction = 0.5
+)
+
 func (c Config) withDefaults() Config {
 	if c.StorageFraction == 0 {
 		c.StorageFraction = 0.5
-	}
-	if c.DispatchDelay == 0 {
-		c.DispatchDelay = 0.04
-	}
-	if c.SerCPUPerByte == 0 {
-		c.SerCPUPerByte = 2e-9
-	}
-	if c.GCFactor == 0 {
-		c.GCFactor = 0.8
-	}
-	if c.EvictGCPerGB == 0 {
-		c.EvictGCPerGB = 0.4
-	}
-	if c.OOMRunFraction == 0 {
-		c.OOMRunFraction = 0.5
 	}
 	if c.WorkerCrashProb == 0 {
 		c.WorkerCrashProb = 0.55
@@ -247,9 +234,6 @@ func (ex *Executor) SetMemPressure(f float64) {
 	ex.memPressure = f
 }
 
-// MemPressure returns the current effective-heap multiplier (1 = healthy).
-func (ex *Executor) MemPressure() float64 { return ex.memPressure }
-
 // SetFlakeProb sets the probability that an attempt started on this node
 // dies with a transient Flaked failure. 0 restores the healthy state.
 func (ex *Executor) SetFlakeProb(p float64) {
@@ -261,9 +245,6 @@ func (ex *Executor) SetFlakeProb(p float64) {
 	}
 	ex.flakeProb = p
 }
-
-// FlakeProb returns the current transient-failure probability.
-func (ex *Executor) FlakeProb() float64 { return ex.flakeProb }
 
 // Down reports whether the executor is offline after a crash.
 func (ex *Executor) Down() bool { return ex.down }
@@ -339,20 +320,6 @@ func (ex *Executor) Running() []*Run {
 	return rs
 }
 
-// AttemptOf returns this executor's in-flight attempt of t, or nil. When
-// multiple attempts of the same task are somehow in flight here, the
-// earliest-launched wins (deterministic). A recovering driver uses this to
-// re-adopt attempts it logged as launched before crashing.
-func (ex *Executor) AttemptOf(t *task.Task) *Run {
-	var found *Run
-	for r := range ex.running {
-		if r.t == t && (found == nil || r.seq < found.seq) {
-			found = r
-		}
-	}
-	return found
-}
-
 // Options controls one task attempt.
 type Options struct {
 	// Locality is the level the scheduler assigned (recorded in metrics
@@ -392,6 +359,6 @@ func (ex *Executor) Launch(t *task.Task, st *task.Stage, opts Options, onDone fu
 	ex.reserved += r.reservedMem
 	ex.running[r] = struct{}{}
 	ex.TasksRun++
-	r.armTimer(ex.cfg.DispatchDelay, r.start)
+	r.armTimer(dispatchDelay, r.start)
 	return r
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"rupam/internal/core"
-	"rupam/internal/workloads"
 )
 
 // AblationRow is one variant's execution time relative to full RUPAM.
@@ -104,10 +103,3 @@ func (r AblationResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "%-16s %-10s %10.1f %8s\n", row.Variant, row.Workload, row.Seconds, vs)
 	}
 }
-
-// appTaskCount is a helper for reports: total tasks in a workload build.
-func appTaskCount(workload string, seed uint64) int {
-	return appOf(RunSpec{Workload: workload, Seed: seed}).NumTasks()
-}
-
-var _ = workloads.Defaults // keep the import alive for helpers above

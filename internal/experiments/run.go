@@ -63,9 +63,11 @@ func BuildCluster(eng *simx.Engine, name string) *cluster.Cluster {
 	return clu
 }
 
-// Run executes one application under one scheduler on a fresh simulated
-// cluster and returns the framework's result.
-func Run(spec RunSpec) *spark.Result {
+// newRun assembles spec's run on a fresh engine: the cluster, the
+// application (its data placement and workload seed derived from
+// spec.Seed) and a runtime driving sched or, when sched is nil, the
+// scheduler spec.Scheduler names.
+func newRun(spec RunSpec, sched spark.Scheduler) (*spark.Runtime, *task.Application) {
 	eng := simx.NewEngine()
 	clu := BuildCluster(eng, spec.Cluster)
 
@@ -76,14 +78,15 @@ func Run(spec RunSpec) *spark.Result {
 	}
 	app := workloads.Build(spec.Workload, store, p)
 
-	var sched spark.Scheduler
-	switch spec.Scheduler {
-	case SchedRUPAM:
-		sched = core.New(spec.RUPAM)
-	case "", SchedSpark:
-		sched = spark.NewDefaultScheduler()
-	default:
-		panic(fmt.Sprintf("experiments: unknown scheduler %q", spec.Scheduler))
+	if sched == nil {
+		switch spec.Scheduler {
+		case SchedRUPAM:
+			sched = core.New(spec.RUPAM)
+		case "", SchedSpark:
+			sched = spark.NewDefaultScheduler()
+		default:
+			panic(fmt.Sprintf("experiments: unknown scheduler %q", spec.Scheduler))
+		}
 	}
 
 	cfg := spec.Spark
@@ -92,7 +95,13 @@ func Run(spec RunSpec) *spark.Result {
 	if !spec.Trace && cfg.SampleInterval == 0 {
 		cfg.SampleInterval = -1 // disable tracing unless requested
 	}
-	rt := spark.NewRuntime(eng, clu, sched, cfg)
+	return spark.NewRuntime(eng, clu, sched, cfg), app
+}
+
+// Run executes one application under one scheduler on a fresh simulated
+// cluster and returns the framework's result.
+func Run(spec RunSpec) *spark.Result {
+	rt, app := newRun(spec, nil)
 	return rt.Run(app)
 }
 
@@ -108,31 +117,10 @@ func Repeat(spec RunSpec, n int) []float64 {
 	return durations
 }
 
-// appOf rebuilds a spec's application without running it (task counts etc.).
-func appOf(spec RunSpec) *task.Application {
-	eng := simx.NewEngine()
-	clu := BuildCluster(eng, spec.Cluster)
-	store := hdfs.NewStore(clu.NodeNames(), 2, spec.Seed*2654435761+1)
-	p := spec.Params
-	if p.Seed == 0 {
-		p.Seed = spec.Seed*7 + 42
-	}
-	return workloads.Build(spec.Workload, store, p)
-}
-
 // RunWithCharDB runs a RUPAM spec warm-started from (and saved back to)
 // a persisted task-characteristics database file. It returns the run
 // result and the number of records persisted. A missing file starts cold.
 func RunWithCharDB(spec RunSpec, path string) (*spark.Result, int) {
-	eng := simx.NewEngine()
-	clu := BuildCluster(eng, spec.Cluster)
-	store := hdfs.NewStore(clu.NodeNames(), 2, spec.Seed*2654435761+1)
-	p := spec.Params
-	if p.Seed == 0 {
-		p.Seed = spec.Seed*7 + 42
-	}
-	app := workloads.Build(spec.Workload, store, p)
-
 	sched := core.New(spec.RUPAM)
 	if err := sched.DB().LoadFile(path); err != nil && !os.IsNotExist(err) {
 		// A corrupt snapshot is not fatal: the characterization history is
@@ -141,14 +129,7 @@ func RunWithCharDB(spec RunSpec, path string) (*spark.Result, int) {
 		fmt.Fprintf(os.Stderr, "experiments: chardb %s unreadable (%v); starting cold\n", path, err)
 		sched.DB().Clear()
 	}
-
-	cfg := spec.Spark
-	cfg.Seed = spec.Seed*31 + 7
-	cfg.Tracer = spec.Tracer
-	if !spec.Trace && cfg.SampleInterval == 0 {
-		cfg.SampleInterval = -1
-	}
-	rt := spark.NewRuntime(eng, clu, sched, cfg)
+	rt, app := newRun(spec, sched)
 	res := rt.Run(app)
 
 	if err := sched.DB().SaveFile(path); err != nil {

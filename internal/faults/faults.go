@@ -493,18 +493,14 @@ type GenConfig struct {
 	// MsgDrops/MsgDups/MsgDelays/MsgReorders count control-plane message
 	// fault windows for the federation plane; each scopes to one node's
 	// edges or (with probability 1/(len(nodes)+1)) to every edge, with a
-	// hit probability between MinMsgFactor and MaxMsgFactor and (for
-	// MsgDelay) an extra latency between MinMsgDelay and MaxMsgDelay.
+	// hit probability between minMsgFactor and maxMsgFactor and (for
+	// MsgDelay) an extra latency between minMsgDelay and maxMsgDelay.
 	// These draw last of all — after SpotPreempts — so pre-existing seeds'
 	// fault traces are unchanged by the message-fault extension.
-	MsgDrops     int
-	MsgDups      int
-	MsgDelays    int
-	MsgReorders  int
-	MinMsgFactor float64
-	MaxMsgFactor float64
-	MinMsgDelay  float64
-	MaxMsgDelay  float64
+	MsgDrops    int
+	MsgDups     int
+	MsgDelays   int
+	MsgReorders int
 	// LoadSpikes counts offered-load spike windows for streaming runs;
 	// each multiplies every source's emission rate by a factor drawn
 	// between MinSpikeFactor and MaxSpikeFactor (≥ 1). These draw last of
@@ -522,6 +518,13 @@ type GenConfig struct {
 	MinAgentDowntime float64
 	MaxAgentDowntime float64
 }
+
+// Message-fault window bounds: the hit probability of a drop, dup, delay
+// or reorder window, and a delay window's extra latency in seconds.
+const (
+	minMsgFactor, maxMsgFactor = 0.1, 0.4
+	minMsgDelay, maxMsgDelay   = 0.05, 0.5
+)
 
 func (g GenConfig) withDefaults() GenConfig {
 	if g.Horizon <= 0 {
@@ -562,18 +565,6 @@ func (g GenConfig) withDefaults() GenConfig {
 	}
 	if g.MaxGrace < g.MinGrace {
 		g.MaxGrace = g.MinGrace + 18
-	}
-	if g.MinMsgFactor <= 0 {
-		g.MinMsgFactor = 0.1
-	}
-	if g.MaxMsgFactor < g.MinMsgFactor {
-		g.MaxMsgFactor = 0.4
-	}
-	if g.MinMsgDelay <= 0 {
-		g.MinMsgDelay = 0.05
-	}
-	if g.MaxMsgDelay < g.MinMsgDelay {
-		g.MaxMsgDelay = 0.5
 	}
 	if g.MinSpikeFactor < 1 {
 		g.MinSpikeFactor = 1.5
@@ -745,10 +736,10 @@ func RandomSchedule(seed uint64, nodes []string, cfg GenConfig) *Schedule {
 					Node:     node,
 					At:       rng.Range(0, cfg.Horizon),
 					Duration: rng.Range(cfg.MinDuration, cfg.MaxDuration),
-					Factor:   rng.Range(cfg.MinMsgFactor, cfg.MaxMsgFactor),
+					Factor:   rng.Range(minMsgFactor, maxMsgFactor),
 				}
 				if kind == MsgDelay {
-					ev.Delay = rng.Range(cfg.MinMsgDelay, cfg.MaxMsgDelay)
+					ev.Delay = rng.Range(minMsgDelay, maxMsgDelay)
 				}
 				key := fmt.Sprintf("%s|%s", kind, node)
 				overlaps := false

@@ -17,7 +17,7 @@ import (
 func TestAgentCrashFencesUntilRestart(t *testing.T) {
 	eng := simx.NewEngine()
 	plane := federation.NewPlane(eng, 1, 0)
-	agent := federation.NewAgent(eng, plane, federation.ProtocolConfig{}, "node1", 2, func(v string) {
+	agent := federation.NewAgent(eng, plane, "node1", 2, func(v string) {
 		t.Errorf("violation: %s", v)
 	})
 

@@ -20,7 +20,7 @@ import (
 func TestDoubleReleaseKeepsRetransmitCycleAlive(t *testing.T) {
 	eng := simx.NewEngine()
 	plane := NewPlane(eng, 1, 0.002)
-	d := NewDriver(eng, plane, ProtocolConfig{}, 0, map[string]int{"node1": 4}, func(v string) {
+	d := NewDriver(eng, plane, 0, map[string]int{"node1": 4}, func(v string) {
 		t.Errorf("violation: %s", v)
 	})
 
@@ -68,7 +68,7 @@ func TestDoubleReleaseKeepsRetransmitCycleAlive(t *testing.T) {
 func TestDoubleAbortKeepsRetransmitCycleAlive(t *testing.T) {
 	eng := simx.NewEngine()
 	plane := NewPlane(eng, 1, 0.002)
-	d := NewDriver(eng, plane, ProtocolConfig{}, 0, map[string]int{"node1": 4}, func(v string) {
+	d := NewDriver(eng, plane, 0, map[string]int{"node1": 4}, func(v string) {
 		t.Errorf("violation: %s", v)
 	})
 

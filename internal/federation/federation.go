@@ -33,8 +33,6 @@ type Config struct {
 	Params workloads.Params
 	// Seed drives the whole run: plans, executors, transport faults.
 	Seed uint64
-	// Protocol tunes the placement protocol's timing.
-	Protocol ProtocolConfig
 	// Faults, when non-empty, is installed once: message kinds onto the
 	// control plane, node kinds onto a shared injector; DriverCrash
 	// events rotate round-robin over drivers that still own live apps.
@@ -42,9 +40,10 @@ type Config struct {
 	// Spark carries per-application framework overrides (Faults and WAL
 	// are owned by the harness and overwritten).
 	Spark spark.Config
-	// MaxSimTime bounds the run in virtual seconds (default 3600).
-	MaxSimTime float64
 }
+
+// maxSimTime bounds the run in virtual seconds.
+const maxSimTime = 3600.0
 
 func (c Config) withDefaults() Config {
 	if c.Drivers <= 0 {
@@ -59,10 +58,6 @@ func (c Config) withDefaults() Config {
 			c.Params = workloads.Params{InputGB: 0.5, Partitions: 16, Iterations: 2}
 		}
 	}
-	if c.MaxSimTime <= 0 {
-		c.MaxSimTime = 3600
-	}
-	c.Protocol = c.Protocol.withDefaults()
 	return c
 }
 
@@ -150,7 +145,7 @@ func Run(cfg Config) *Result {
 	clu := cluster.New(eng)
 	cluster.NewHydra(clu)
 
-	plane := NewPlane(eng, cfg.Seed, cfg.Protocol.Latency)
+	plane := NewPlane(eng, cfg.Seed, msgLatency)
 	if !cfg.Faults.Empty() {
 		plane.Install(cfg.Faults)
 	}
@@ -158,13 +153,13 @@ func Run(cfg Config) *Result {
 	agents := make([]*Agent, 0, len(clu.Nodes))
 	nodeCap := make(map[string]int, len(clu.Nodes))
 	for _, n := range clu.Nodes {
-		agents = append(agents, NewAgent(eng, plane, cfg.Protocol, n.Name(), n.Spec.Cores, violation))
+		agents = append(agents, NewAgent(eng, plane, n.Name(), n.Spec.Cores, violation))
 		nodeCap[n.Name()] = n.Spec.Cores
 	}
 
 	drivers := make([]*Driver, cfg.Drivers)
 	for i := range drivers {
-		drivers[i] = NewDriver(eng, plane, cfg.Protocol, i, nodeCap, violation)
+		drivers[i] = NewDriver(eng, plane, i, nodeCap, violation)
 	}
 	addrs := make([]string, len(drivers))
 	for i, d := range drivers {
@@ -189,7 +184,6 @@ func Run(cfg Config) *Result {
 	}
 	sub := tenant.BuildSubstrate(eng, clu, tenant.SubstrateOptions{
 		Seed:              cfg.Seed,
-		Exec:              cfg.Spark.Exec,
 		HeartbeatInterval: cfg.Spark.HeartbeatInterval,
 		Tracer:            cfg.Spark.Tracer,
 		OnRestart: func() {
@@ -293,7 +287,7 @@ func Run(cfg Config) *Result {
 		scfg.Seed = cfg.Seed*31 + 7 + uint64(j)*1013
 		scfg.AppLabel = app.Name
 		scfg.SampleInterval = -1
-		scfg.MaxSimTime = cfg.MaxSimTime
+		scfg.MaxSimTime = maxSimTime
 		// The application's WAL carries both scheduler state and claim
 		// protocol records; crash recovery folds both from one stream.
 		wlog := wal.New(nil, wal.Options{Clock: eng.Now})
@@ -317,7 +311,7 @@ func Run(cfg Config) *Result {
 	// agents ack unknown claims, and claims against permanently dead
 	// agents resolve locally). The horizon is a watchdog, not an expected
 	// path.
-	eng.RunUntil(cfg.MaxSimTime * 2)
+	eng.RunUntil(maxSimTime * 2)
 	if eng.Pending() > 0 {
 		violation(fmt.Sprintf("simulation did not quiesce: %d events pending at horizon", eng.Pending()))
 	}

@@ -38,7 +38,7 @@ type Plane struct {
 // loss/reorder pattern for the same message sequence.
 func NewPlane(eng *simx.Engine, seed uint64, latency float64) *Plane {
 	if latency <= 0 {
-		latency = 0.002
+		latency = msgLatency
 	}
 	return &Plane{
 		eng:      eng,

@@ -149,7 +149,7 @@ func (rt *Runtime) executorLost(node string, reason string) {
 	// deterministic backoff, escalating only if the source is still gone.
 	confirmed := true
 	if ex := rt.Execs[node]; ex != nil && !ex.Down() && !ex.FailStopped() &&
-		reason != "executor restarted" && rt.Cfg.FetchRetries > 0 {
+		reason != "executor restarted" {
 		confirmed = false
 	}
 	for _, r := range rt.runningSorted() {
@@ -176,10 +176,10 @@ func (rt *Runtime) executorLost(node string, reason string) {
 // slow-but-alive source. At each firing: a fetch that completed, moved on,
 // or whose source rejoined needs nothing; a source meanwhile confirmed
 // dead escalates at once; otherwise the next re-check is armed until the
-// budget (Cfg.FetchRetries) is spent and the fetch fails over to the
+// budget (fetchRetries) is spent and the fetch fails over to the
 // rollback path.
 func (rt *Runtime) deferFetchFailure(r *executor.Run, node string, attempt int) {
-	rt.Eng.Schedule(rt.Cfg.FetchRetryBackoff*float64(attempt), func() {
+	rt.Eng.Schedule(fetchRetryBackoff*float64(attempt), func() {
 		if rt.appDone || r.Done() || !r.FetchingFrom(node) {
 			return
 		}
@@ -187,7 +187,7 @@ func (rt *Runtime) deferFetchFailure(r *executor.Run, node string, attempt int) 
 			return // the source rejoined; let the fetch finish
 		}
 		ex := rt.Execs[node]
-		if ex == nil || ex.Down() || ex.FailStopped() || attempt >= rt.Cfg.FetchRetries {
+		if ex == nil || ex.Down() || ex.FailStopped() || attempt >= fetchRetries {
 			r.FailFetch()
 			return
 		}

@@ -25,10 +25,6 @@ import (
 // Config carries the framework's tunables; zero fields take the Spark
 // defaults noted per field.
 type Config struct {
-	// DriverNode hosts the driver program (result flows land here);
-	// defaults to the first cluster node, matching the paper's master
-	// co-located on a worker.
-	DriverNode string
 	// StaticHeapBytes is the executor heap the default scheduler uses on
 	// every node (the paper sets 14 GB to fit the 16 GB thor machines).
 	StaticHeapBytes int64
@@ -51,9 +47,6 @@ type Config struct {
 	SpeculationMaxPerStage int
 	// HeartbeatInterval is the worker heartbeat period (default 1 s).
 	HeartbeatInterval float64
-	// MaxAttempts bounds per-task attempts before the task is forced onto
-	// the highest-memory node (default 8).
-	MaxAttempts int
 	// HeartbeatTimeout is how long a node may go silent before the driver
 	// declares its executor lost (spark.network.timeout; default 10 s).
 	HeartbeatTimeout float64
@@ -74,15 +67,6 @@ type Config struct {
 	// a DriverCrash (a crash without a WAL would be unrecoverable), and no
 	// log is kept otherwise.
 	WAL *wal.Log
-	// FetchRetries bounds how many deterministic-backoff re-checks a
-	// shuffle fetch from a slow-but-alive source gets before the driver
-	// escalates to FetchFailed (default 2; negative disables, escalating
-	// immediately as before). Fetches from a source whose executor is
-	// confirmed dead always escalate immediately.
-	FetchRetries int
-	// FetchRetryBackoff is the base backoff between fetch re-checks in
-	// seconds; check i fires backoff×i after the previous (default 1.5).
-	FetchRetryBackoff float64
 	// SampleInterval is the utilization-trace sampling period (default
 	// 1 s; 0 keeps the default, negative disables tracing).
 	SampleInterval float64
@@ -90,20 +74,28 @@ type Config struct {
 	// many seconds — a watchdog against scheduler livelocks (default
 	// 86400, one simulated day).
 	MaxSimTime float64
-	// Exec carries the physical execution-model constants.
-	Exec executor.Config
 	// Seed drives all run randomness (failure coin flips).
 	Seed uint64
 	// Tracer, when non-nil, records the structured event trace (attempt
 	// lifecycle, stage/job spans, decision audit). Nil disables tracing
 	// with zero behavioral difference.
 	Tracer *tracing.Collector
-	// AppLabel and PoolLabel scope trace events and decision audits when
-	// several applications share one Collector (multi-tenant runs). Both
-	// are empty for single-application runs.
-	AppLabel  string
-	PoolLabel string
+	// AppLabel scopes trace events and decision audits when several
+	// applications share one Collector (multi-tenant runs). It is empty
+	// for single-application runs.
+	AppLabel string
 }
+
+const (
+	// fetchRetries bounds how many deterministic-backoff re-checks a
+	// shuffle fetch from a slow-but-alive source gets before the driver
+	// escalates to FetchFailed. Fetches from a source whose executor is
+	// confirmed dead always escalate immediately.
+	fetchRetries = 2
+	// fetchRetryBackoff is the base backoff between fetch re-checks in
+	// seconds; check i fires backoff×i after the previous.
+	fetchRetryBackoff = 1.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.StaticHeapBytes == 0 {
@@ -124,20 +116,11 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 1
 	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 8
-	}
 	if c.HeartbeatTimeout == 0 {
 		c.HeartbeatTimeout = 10
 	}
 	if c.SampleInterval == 0 {
 		c.SampleInterval = 1
-	}
-	if c.FetchRetries == 0 {
-		c.FetchRetries = 2
-	}
-	if c.FetchRetryBackoff == 0 {
-		c.FetchRetryBackoff = 1.5
 	}
 	if c.MaxSimTime == 0 {
 		c.MaxSimTime = 86400
@@ -332,15 +315,6 @@ func NewRuntime(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg Con
 // behaves exactly like NewRuntime.
 func NewRuntimeOn(eng *simx.Engine, clu *cluster.Cluster, sched Scheduler, cfg Config, sub *Substrate) *Runtime {
 	cfg = cfg.withDefaults()
-	if cfg.DriverNode == "" && len(clu.Nodes) > 0 {
-		cfg.DriverNode = clu.Nodes[0].Name()
-	}
-	cfg.Exec.DriverNode = cfg.DriverNode
-	cfg.Exec.Seed = cfg.Seed
-	cfg.Exec.Tracer = cfg.Tracer
-	if cr, ok := sched.(CacheRelocator); ok {
-		cfg.Exec.RelocateCacheOnRemoteRead = cr.RelocatesCache()
-	}
 	rt := &Runtime{
 		Eng:          eng,
 		Clu:          clu,
@@ -456,8 +430,8 @@ func (rt *Runtime) DeliverHeartbeat(node string, nm *monitor.NodeMetrics) {
 // whose task won the slot.
 func (rt *Runtime) NewDecision(scheduler, node string) *tracing.Decision {
 	d := rt.Cfg.Tracer.NewDecision(scheduler, node)
-	if rt.Cfg.AppLabel != "" || rt.Cfg.PoolLabel != "" {
-		d.SetScope(rt.Cfg.AppLabel, rt.Cfg.PoolLabel)
+	if rt.Cfg.AppLabel != "" {
+		d.SetScope(rt.Cfg.AppLabel, "")
 	}
 	return d
 }
@@ -583,13 +557,22 @@ func (rt *Runtime) Start(app *task.Application) {
 	if rt.sub == nil {
 		rt.ownsSubstrate = true
 
-		// Executors, sized by the scheduler's policy.
+		// Executors, sized by the scheduler's policy. The driver program
+		// runs on the first node, matching the paper's master co-located
+		// on a worker, so result flows land there.
+		relocate := false
+		if cr, ok := rt.sched.(CacheRelocator); ok {
+			relocate = cr.RelocatesCache()
+		}
 		peers := rt.Execs
 		for i, n := range rt.Clu.Nodes {
-			cfg := rt.Cfg.Exec
-			cfg.HeapBytes = rt.sched.HeapFor(n)
-			cfg.Seed = rt.Cfg.Seed + uint64(i)*7919
-			ex := executor.New(rt.Eng, rt.Clu, n, rt.Cache, peers, cfg)
+			ex := executor.New(rt.Eng, rt.Clu, n, rt.Cache, peers, executor.Config{
+				HeapBytes:                 rt.sched.HeapFor(n),
+				DriverNode:                rt.Clu.Nodes[0].Name(),
+				RelocateCacheOnRemoteRead: relocate,
+				Seed:                      rt.Cfg.Seed + uint64(i)*7919,
+				Tracer:                    rt.Cfg.Tracer,
+			})
 			ex.OnRestart = func() {
 				rt.notifyExecutorSetChanged()
 				rt.reschedule()

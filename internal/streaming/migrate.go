@@ -88,8 +88,6 @@ func (r *Runtime) startMigration(opID int, to, reason string, emergency bool) bo
 		for _, ch := range r.inChans[opID] {
 			ch.paused = true
 		}
-		r.trace("migrating %s (%s): %s -> %s, draining %.0f records",
-			o.Name, reason, from, to, r.backlog(opID))
 	}
 	// Close the operator's current "run" span at the migration boundary.
 	if openFrom, ok := r.runSpanFrom[opID]; ok {
@@ -230,5 +228,4 @@ func (r *Runtime) finishMigration(opID int) {
 	r.streamSpanAt(m.to, o.Name, "handoff",
 		fmt.Sprintf("%d state bytes from %s", o.StateBytes, m.from), m.handoffAt, now)
 	r.col.OperatorMigrated(o.Name, m.from, m.to, m.reason, now-m.start)
-	r.trace("migrated %s: %s -> %s in %.2fs (%s)", o.Name, m.from, m.to, now-m.start, m.reason)
 }

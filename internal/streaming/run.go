@@ -53,8 +53,6 @@ type Config struct {
 	// Warmup excludes the initial transient from sustained-throughput and
 	// latency metrics (default 20).
 	Warmup float64
-	// BatchInterval is the micro-batch tick, in seconds (default 0.25).
-	BatchInterval float64
 	// BacklogSeconds sizes each channel to this many seconds of its
 	// closed-form steady rate (default 2, floor 100 records).
 	BacklogSeconds float64
@@ -71,15 +69,13 @@ type Config struct {
 	// backlogged operator at that virtual time — the soak harness uses it
 	// to guarantee the migration path is exercised every seed.
 	ForceMigrateAt float64
-	// CharDB, if non-nil, is the shared characteristics store the rupam
-	// placer reads and the runtime feeds; nil gets a fresh private one.
-	CharDB *core.CharDB
 	// Collector, if non-nil, records placement decisions, operator phase
 	// spans and fault windows.
 	Collector *tracing.Collector
-	// Trace, if non-nil, receives a line per notable runtime event.
-	Trace func(string)
 }
+
+// batchInterval is the micro-batch tick, in seconds.
+const batchInterval = 0.25
 
 func (c Config) withDefaults() Config {
 	if c.Placer == "" {
@@ -90,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Warmup <= 0 || c.Warmup >= c.Horizon {
 		c.Warmup = c.Horizon / 6
-	}
-	if c.BatchInterval <= 0 {
-		c.BatchInterval = 0.25
 	}
 	if c.BacklogSeconds <= 0 {
 		c.BacklogSeconds = 2
@@ -180,7 +173,7 @@ func Run(cfg Config) *Result {
 		execs:         make(map[string]*executor.Executor),
 		cache:         executor.NewCacheTracker(),
 		col:           cfg.Collector,
-		db:            cfg.CharDB,
+		db:            core.NewCharDB(),
 		opNode:        make(map[int]string),
 		inChans:       make(map[int][]*channel),
 		outChans:      make(map[int][]*channel),
@@ -191,9 +184,6 @@ func Run(cfg Config) *Result {
 		lastMigration: make(map[int]float64),
 		overTicks:     make(map[int]int),
 		runSpanFrom:   make(map[int]float64),
-	}
-	if r.db == nil {
-		r.db = core.NewCharDB()
 	}
 	r.col.Bind(eng)
 	for _, n := range clu.Nodes {
@@ -240,10 +230,8 @@ func Run(cfg Config) *Result {
 	// streaming hooks route notices, kills and spikes into the runtime.
 	r.inj = faults.NewInjector(eng, clu, r.execs)
 	r.inj.Collector = r.col
-	r.inj.Trace = cfg.Trace
 	r.inj.OnLoadSpike = func(mult float64) {
 		r.spikeMult = mult
-		r.trace("load multiplier now ×%.2f", mult)
 	}
 	r.inj.OnSpotNotice = func(node string, grace float64) {
 		r.evacuate(node, "spot-notice")
@@ -257,16 +245,10 @@ func Run(cfg Config) *Result {
 		r.inj.Install(cfg.Faults)
 	}
 
-	eng.Schedule(cfg.BatchInterval, r.tick)
+	eng.Schedule(batchInterval, r.tick)
 	eng.Run()
 
 	return r.result()
-}
-
-func (r *Runtime) trace(format string, args ...interface{}) {
-	if r.cfg.Trace != nil {
-		r.cfg.Trace(fmt.Sprintf("[%8.2fs] %s", r.eng.Now(), fmt.Sprintf(format, args...)))
-	}
 }
 
 // nodeAlive reports whether the node can currently host operators.
@@ -286,10 +268,10 @@ func (r *Runtime) liveExclusions() map[string]bool {
 	return ex
 }
 
-// tick is the micro-batch loop body, every BatchInterval of virtual time.
+// tick is the micro-batch loop body, every batchInterval of virtual time.
 func (r *Runtime) tick() {
 	now := r.eng.Now()
-	dt := r.cfg.BatchInterval
+	dt := batchInterval
 
 	// (1) Fold wire progress into arrivals.
 	r.clu.Net.Sync()
@@ -353,7 +335,6 @@ func (r *Runtime) tick() {
 	// (10) Horizon and quiescence.
 	if now >= r.cfg.Horizon && !r.sourcesStopped {
 		r.sourcesStopped = true
-		r.trace("horizon: sources stopped")
 	}
 	if r.sourcesStopped && r.quiesced() {
 		r.finish(now, true)

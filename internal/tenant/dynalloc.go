@@ -17,7 +17,7 @@ import (
 
 // armDynalloc starts the periodic allocation evaluation.
 func (m *Manager) armDynalloc() {
-	m.dynTimer = m.eng.Schedule(m.cfg.Dynalloc.Interval, func() {
+	m.dynTimer = m.eng.Schedule(dynallocInterval, func() {
 		if m.finished {
 			return
 		}
@@ -45,7 +45,7 @@ func (m *Manager) dynallocTick() {
 			if len(a.leases) <= 1 {
 				break
 			}
-			if now-a.lastBusy[node] > m.cfg.Dynalloc.IdleTimeout {
+			if now-a.lastBusy[node] > idleTimeout {
 				m.releaseLease(a, node, "idle-timeout")
 				changed = true
 			}
@@ -57,9 +57,9 @@ func (m *Manager) dynallocTick() {
 		// still exist, and replacements are granted while the doomed node
 		// works through its grace window.
 		_, pending := m.demandOf(a)
-		if pending > 0 && now-a.lastScale >= m.cfg.Dynalloc.BacklogTimeout {
+		if pending > 0 && now-a.lastScale >= backlogTimeout {
 			live, pend := m.demandOf(a)
-			needExecs := (live + pend + m.cfg.Dynalloc.ExecCores - 1) / m.cfg.Dynalloc.ExecCores
+			needExecs := (live + pend + execCores - 1) / execCores
 			effLeases := 0
 			for node := range a.leases {
 				if !m.draining[node] {
@@ -102,7 +102,7 @@ func sortedLeaseNodes(a *appState) []string {
 
 // grantInitial gives a starting application its initial executor leases.
 func (m *Manager) grantInitial(a *appState) {
-	m.scaleUp(a, m.cfg.Dynalloc.InitialExecs)
+	m.scaleUp(a, initialExecs)
 }
 
 // scaleUp grants up to n one-executor leases on nodes with spare lease
@@ -120,7 +120,7 @@ func (m *Manager) scaleUp(a *appState, n int) int {
 		if !m.instanceUsable(node) {
 			continue // not acquired from the market, or draining toward a kill
 		}
-		cores := m.cfg.Dynalloc.ExecCores
+		cores := execCores
 		free := m.clu.Node(node).Spec.Cores - m.leasedNow[node]
 		if free < cores {
 			continue
@@ -139,7 +139,6 @@ func (m *Manager) scaleUp(a *appState, n int) int {
 		if tot := m.totalLeased(); tot > m.peakLeased {
 			m.peakLeased = tot
 		}
-		m.cfg.Tracer.LeaseChanged(a.label, node, cores, "scale-up")
 		granted++
 	}
 	if granted > 0 && a.rt != nil {
@@ -171,7 +170,6 @@ func (m *Manager) releaseLease(a *appState, node string, reason string) {
 			ex.Heap().Release(bytes)
 		}
 	}
-	m.cfg.Tracer.LeaseChanged(a.label, node, 0, reason)
 	if a.rt != nil && !a.done {
 		a.rt.NotifyExecutorSetChanged()
 	}

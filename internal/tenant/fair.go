@@ -124,10 +124,11 @@ func (m *Manager) fairRound() {
 	}
 }
 
-// poolTable materializes the configured pools (in config order) plus a
+// poolTable materializes DefaultPools (in declaration order) plus a
 // default-weight pool for any mix entry naming an undeclared pool.
 func (m *Manager) poolTable() ([]*poolShare, map[string]*poolShare) {
-	pools := make([]*poolShare, 0, len(m.cfg.Pools))
+	defaults := DefaultPools()
+	pools := make([]*poolShare, 0, len(defaults))
 	byName := make(map[string]*poolShare)
 	add := func(cfg PoolConfig) {
 		if cfg.Weight <= 0 {
@@ -137,7 +138,7 @@ func (m *Manager) poolTable() ([]*poolShare, map[string]*poolShare) {
 		pools = append(pools, p)
 		byName[cfg.Name] = p
 	}
-	for _, pc := range m.cfg.Pools {
+	for _, pc := range defaults {
 		add(pc)
 	}
 	for _, a := range m.activeApps() {

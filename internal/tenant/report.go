@@ -115,12 +115,6 @@ func (m *Manager) AppRuns() []AppRun {
 	return out
 }
 
-// Substrate exposes the shared cluster-side state (invariant checks).
-func (m *Manager) Substrate() *spark.Substrate { return m.sub }
-
-// Violations returns the accumulated invariant violations.
-func (m *Manager) Violations() []string { return m.violations }
-
 func (m *Manager) recordOf(a *appState) AppRecord {
 	rec := AppRecord{
 		Label:    a.label,
@@ -186,7 +180,8 @@ func (m *Manager) buildReport() *Report {
 		waits     []float64
 	}
 	poolAgg := make(map[string]*agg)
-	poolOrder := make([]string, 0, len(m.cfg.Pools))
+	defaults := DefaultPools()
+	poolOrder := make([]string, 0, len(defaults))
 	addPool := func(pc PoolConfig) *agg {
 		g := &agg{rep: PoolReport{Name: pc.Name, Weight: pc.Weight, MinShare: pc.MinShare}}
 		if g.rep.Weight <= 0 {
@@ -196,7 +191,7 @@ func (m *Manager) buildReport() *Report {
 		poolOrder = append(poolOrder, pc.Name)
 		return g
 	}
-	for _, pc := range m.cfg.Pools {
+	for _, pc := range defaults {
 		addPool(pc)
 	}
 

@@ -45,42 +45,25 @@ type PoolConfig struct {
 	MinShare int
 }
 
-// DynallocConfig tunes per-application dynamic executor allocation.
-type DynallocConfig struct {
-	// InitialExecs is the lease count an application starts with
-	// (spark.dynamicAllocation.initialExecutors; default 1).
-	InitialExecs int
-	// ExecCores is the lease grant granularity in cores — the simulated
-	// equivalent of one executor process (default 8).
-	ExecCores int
-	// BacklogTimeout is how long a scheduler backlog must persist before
-	// the application's lease count doubles (default 2 s).
-	BacklogTimeout float64
-	// IdleTimeout releases a lease whose node ran none of the
-	// application's tasks for this long (default 10 s).
-	IdleTimeout float64
-	// Interval is the allocation evaluation period (default 1 s).
-	Interval float64
-}
-
-func (d DynallocConfig) withDefaults() DynallocConfig {
-	if d.InitialExecs == 0 {
-		d.InitialExecs = 1
-	}
-	if d.ExecCores == 0 {
-		d.ExecCores = 8
-	}
-	if d.BacklogTimeout == 0 {
-		d.BacklogTimeout = 2
-	}
-	if d.IdleTimeout == 0 {
-		d.IdleTimeout = 10
-	}
-	if d.Interval == 0 {
-		d.Interval = 1
-	}
-	return d
-}
+const (
+	// initialExecs is the lease count an application starts with
+	// (spark.dynamicAllocation.initialExecutors).
+	initialExecs = 1
+	// execCores is the lease grant granularity in cores — the simulated
+	// equivalent of one executor process.
+	execCores = 8
+	// backlogTimeout is how long a scheduler backlog must persist before
+	// the application's lease count doubles.
+	backlogTimeout = 2.0
+	// idleTimeout releases a lease whose node ran none of the
+	// application's tasks for this long.
+	idleTimeout = 10.0
+	// dynallocInterval is the allocation evaluation period.
+	dynallocInterval = 1.0
+	// maxSimTime panics the run if the virtual clock exceeds it (four
+	// simulated hours).
+	maxSimTime = 14400.0
+)
 
 // Config parameterizes one multi-tenant run.
 type Config struct {
@@ -90,8 +73,6 @@ type Config struct {
 	// Seed drives every random draw in the run: arrival times, workload
 	// mix, framework randomness.
 	Seed uint64
-	// Pools are the FAIR pools; empty takes DefaultPools.
-	Pools []PoolConfig
 	// Arrivals parameterizes the open-loop generator; zero fields take
 	// defaults (see ArrivalConfig).
 	Arrivals ArrivalConfig
@@ -101,12 +82,8 @@ type Config struct {
 	// MaxPendingApps bounds the admission queue; an arrival past it is
 	// rejected, never silently dropped (default 8).
 	MaxPendingApps int
-	// Dynalloc tunes dynamic executor allocation.
-	Dynalloc DynallocConfig
 	// Spark carries per-application framework overrides.
 	Spark spark.Config
-	// RUPAM carries scheduler tunables for Scheduler=="rupam".
-	RUPAM core.Config
 	// Faults, when non-empty, is installed once over the shared cluster;
 	// DriverCrash events are routed to the oldest running application, and
 	// SpotPreempt notices/kills fan out to every running application.
@@ -114,24 +91,15 @@ type Config struct {
 	// Elastic turns the fixed cluster into a priced instance market with
 	// pilot-job acquisition and cost metering (off by default).
 	Elastic ElasticConfig
-	// Tracer, when non-nil, records the structured multi-application
-	// trace (app lifecycle, leases, pool-scoped decisions).
-	Tracer *tracing.Collector
 	// PrivateCharDB gives each RUPAM application its own characteristics
 	// database instead of the shared (externally persisted) one,
 	// disabling cross-application warm-starts.
 	PrivateCharDB bool
-	// MaxSimTime panics the run if the virtual clock exceeds it
-	// (default 14400, four simulated hours).
-	MaxSimTime float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Scheduler == "" {
 		c.Scheduler = "spark"
-	}
-	if len(c.Pools) == 0 {
-		c.Pools = DefaultPools()
 	}
 	c.Arrivals = c.Arrivals.withDefaults()
 	if c.MaxConcurrentApps == 0 {
@@ -139,13 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPendingApps == 0 {
 		c.MaxPendingApps = 8
-	}
-	c.Dynalloc = c.Dynalloc.withDefaults()
-	if c.Elastic.Enabled {
-		c.Elastic = c.Elastic.withDefaults()
-	}
-	if c.MaxSimTime == 0 {
-		c.MaxSimTime = 14400
 	}
 	return c
 }
@@ -224,6 +185,7 @@ type Manager struct {
 	peakLeased     int            // max total leased cores at once
 
 	// elastic substrate (elastic.go)
+	market        *cluster.Market    // instance prices and spot hazards
 	spotSet       map[string]bool    // node → billed as spot
 	draining      map[string]bool    // preemption notice heard, kill pending
 	held          map[string]bool    // instance currently acquired
@@ -257,7 +219,7 @@ func NewManager(cfg Config) *Manager {
 }
 
 // Run executes the whole multi-tenant scenario on a fresh engine and
-// returns its report. It panics if the run exceeds MaxSimTime (livelock
+// returns its report. It panics if the run exceeds maxSimTime (livelock
 // watchdog), like the single-application runtime.
 func (m *Manager) Run() *Report {
 	m.eng = simx.NewEngine()
@@ -270,11 +232,6 @@ func (m *Manager) Run() *Report {
 	for _, n := range m.clu.Nodes {
 		m.capacity += n.Spec.Cores
 		m.nodeOrder = append(m.nodeOrder, n.Name())
-	}
-
-	m.cfg.Tracer.Bind(m.eng)
-	for _, n := range m.clu.Nodes {
-		m.cfg.Tracer.RegisterNode(n.Name(), n.Spec.Cores)
 	}
 
 	m.buildSubstrate()
@@ -291,10 +248,10 @@ func (m *Manager) Run() *Report {
 	m.sub.Mon.Start()
 	m.armDynalloc()
 
-	m.eng.RunUntil(m.cfg.MaxSimTime)
+	m.eng.RunUntil(maxSimTime)
 	if !m.finished {
 		panic(fmt.Sprintf("tenant: run exceeded MaxSimTime=%v with %d running and %d queued apps — livelock?",
-			m.cfg.MaxSimTime, len(m.running), len(m.pending)))
+			maxSimTime, len(m.running), len(m.pending)))
 	}
 	m.checkEndState()
 	return m.buildReport()
@@ -307,9 +264,6 @@ type SubstrateOptions struct {
 	// Seed derives per-node executor seeds (Seed + i*7919 over the
 	// cluster's node order).
 	Seed uint64
-	// Exec is the base per-node executor configuration; HeapBytes, Seed,
-	// DriverNode and Tracer are filled per node.
-	Exec executor.Config
 	// HeapFor sizes each node's executor heap; nil uses a static 14 GB.
 	HeapFor func(*cluster.Node) int64
 	// HeartbeatInterval is the monitor period; 0 means 1 s.
@@ -338,13 +292,13 @@ func BuildSubstrate(eng *simx.Engine, clu *cluster.Cluster, o SubstrateOptions) 
 	execs := make(map[string]*executor.Executor)
 	execSeed := o.Seed*31 + 7
 	for i, n := range clu.Nodes {
-		ecfg := o.Exec
-		ecfg.HeapBytes = heapFor(n)
-		ecfg.Seed = execSeed + uint64(i)*7919
-		ecfg.DriverNode = clu.Nodes[0].Name()
-		ecfg.Tracer = o.Tracer
-		ecfg.RelocateCacheOnRemoteRead = o.RelocateCache
-		ex := executor.New(eng, clu, n, cache, execs, ecfg)
+		ex := executor.New(eng, clu, n, cache, execs, executor.Config{
+			HeapBytes:                 heapFor(n),
+			DriverNode:                clu.Nodes[0].Name(),
+			RelocateCacheOnRemoteRead: o.RelocateCache,
+			Seed:                      execSeed + uint64(i)*7919,
+			Tracer:                    o.Tracer,
+		})
 		ex.OnRestart = o.OnRestart
 	}
 	hb := o.HeartbeatInterval
@@ -365,11 +319,9 @@ func BuildSubstrate(eng *simx.Engine, clu *cluster.Cluster, o SubstrateOptions) 
 func (m *Manager) buildSubstrate() {
 	m.sub = BuildSubstrate(m.eng, m.clu, SubstrateOptions{
 		Seed:              m.cfg.Seed,
-		Exec:              m.cfg.Spark.Exec,
 		HeapFor:           m.heapPolicy(),
 		HeartbeatInterval: m.heartbeatInterval(),
 		RelocateCache:     m.cfg.Scheduler == "rupam",
-		Tracer:            m.cfg.Tracer,
 		OnRestart: func() {
 			for _, a := range m.activeApps() {
 				a.rt.NotifyExecutorSetChanged()
@@ -387,7 +339,6 @@ func (m *Manager) buildSubstrate() {
 	if !m.cfg.Faults.Empty() {
 		m.inj = faults.NewInjector(m.eng, m.clu, m.sub.Execs)
 		m.sub.Mon.Drop = m.inj.Suppressed
-		m.inj.Collector = m.cfg.Tracer
 		m.inj.OnDriverCrash = m.routeDriverCrash
 		m.inj.OnSpotNotice = m.onSpotNotice
 		m.inj.OnSpotKill = m.onSpotKill
@@ -400,7 +351,7 @@ func (m *Manager) buildSubstrate() {
 // stock Spark's one static size everywhere.
 func (m *Manager) heapPolicy() func(*cluster.Node) int64 {
 	if m.cfg.Scheduler == "rupam" {
-		sizer := core.New(m.cfg.RUPAM)
+		sizer := core.New(core.Config{})
 		return sizer.HeapFor
 	}
 	static := m.cfg.Spark.StaticHeapBytes
@@ -444,7 +395,6 @@ func (m *Manager) onArrival(i int) {
 	}
 	m.apps = append(m.apps, a)
 	m.arrived++
-	m.cfg.Tracer.AppArrived(a.label, a.pool, a.workload)
 	switch {
 	case len(m.running) < m.cfg.MaxConcurrentApps && len(m.pending) == 0:
 		m.admitted++
@@ -452,11 +402,9 @@ func (m *Manager) onArrival(i int) {
 	case len(m.pending) < m.cfg.MaxPendingApps:
 		m.admitted++
 		m.pending = append(m.pending, a)
-		m.cfg.Tracer.AppAdmitted(a.label, a.pool, len(m.pending))
 	default:
 		m.rejectedN++
 		a.rejected = true
-		m.cfg.Tracer.AppRejected(a.label, a.pool, "pending queue full")
 	}
 	m.maybeFinish()
 }
@@ -501,9 +449,9 @@ func (m *Manager) startApp(a *appState) {
 	var sched spark.Scheduler
 	if m.cfg.Scheduler == "rupam" {
 		if m.sharedDB != nil {
-			sched = core.NewWithDB(m.cfg.RUPAM, m.sharedDB)
+			sched = core.NewWithDB(core.Config{}, m.sharedDB)
 		} else {
-			sched = core.New(m.cfg.RUPAM)
+			sched = core.New(core.Config{})
 		}
 	} else {
 		sched = spark.NewDefaultScheduler()
@@ -513,11 +461,9 @@ func (m *Manager) startApp(a *appState) {
 	cfg.Faults = nil // the injector belongs to the manager
 	cfg.WAL = nil
 	cfg.Seed = m.cfg.Seed*31 + 7 + uint64(a.idx)*1013
-	cfg.Tracer = m.cfg.Tracer
 	cfg.AppLabel = a.label
-	cfg.PoolLabel = a.pool
 	cfg.SampleInterval = -1
-	cfg.MaxSimTime = m.cfg.MaxSimTime
+	cfg.MaxSimTime = maxSimTime
 	if m.cfg.Faults.HasKind(faults.DriverCrash) {
 		// A routed driver crash needs a log to replay; keep one in memory
 		// per application, exactly like the single-app auto-WAL.
@@ -536,7 +482,6 @@ func (m *Manager) startApp(a *appState) {
 
 	m.running = append(m.running, a)
 	m.grantInitial(a)
-	m.cfg.Tracer.AppStarted(a.label, a.pool, a.startAt-a.arriveAt)
 	rt.Start(app)
 	m.ScheduleAll()
 }
@@ -554,7 +499,6 @@ func (m *Manager) appFinished(a *appState) {
 			break
 		}
 	}
-	m.cfg.Tracer.AppFinished(a.label, a.pool, a.endAt-a.startAt, a.res.Aborted != nil)
 	m.tryStartPending()
 	m.maybeFinish()
 	m.ScheduleAll()

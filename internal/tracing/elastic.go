@@ -3,9 +3,8 @@ package tracing
 import "fmt"
 
 // This file is the elastic-substrate track: spot-preemption lifecycle
-// instants (notice → drain moves → kill) recorded by the driver, and
-// instance-market events (acquisition, release, capacity denial) recorded
-// by the tenant autoscaler. All methods are nil-receiver safe.
+// instants (notice → drain moves → kill) recorded by the driver. All
+// methods are nil-receiver safe.
 
 // elasticInstant files one point event under the "elastic" category,
 // optionally scoped to an application and pinned to a node's track.
@@ -46,25 +45,4 @@ func (c *Collector) DrainMoved(app, node, dest string, stage, index int, bytes i
 func (c *Collector) PreemptKill(app, node, resolution string, attempts int) {
 	c.elasticInstant(fmt.Sprintf("preempt kill %s (%s)", node, resolution), app, node,
 		map[string]interface{}{"resolution": resolution, "attempts_killed": attempts})
-}
-
-// InstanceAcquired records the autoscaler taking an instance from the
-// market (billing is "on-demand" or "spot").
-func (c *Collector) InstanceAcquired(node, billing string, price float64) {
-	c.elasticInstant(fmt.Sprintf("acquire %s (%s)", node, billing), "", node,
-		map[string]interface{}{"billing": billing, "price_per_hour": price})
-}
-
-// InstanceReleased records the autoscaler returning an instance (idle
-// scale-down or preemption), with the hold's accrued cost.
-func (c *Collector) InstanceReleased(node, reason string, heldFor, cost float64) {
-	c.elasticInstant(fmt.Sprintf("release %s", node), "", node,
-		map[string]interface{}{"reason": reason, "held_for": heldFor, "cost": cost})
-}
-
-// InstanceDenied records a pilot-job acquisition attempt finding no
-// capacity, and the deterministic backoff before the retry.
-func (c *Collector) InstanceDenied(wanted, attempt int, retryIn float64) {
-	c.elasticInstant("acquire denied", "", "",
-		map[string]interface{}{"wanted": wanted, "attempt": attempt, "retry_in": retryIn})
 }

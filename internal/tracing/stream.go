@@ -6,23 +6,6 @@ package tracing
 // placer records one Decision per operator with the candidate nodes and
 // their rejection reasons.
 
-// StreamSpan records a streaming-operator phase window [now, now+duration]
-// on the node's stream track: "run" between placement/migration
-// boundaries, "drain" and "handoff" during a migration. duration <= 0
-// means open-ended (still running at the end of the run); the exporter
-// closes it at the trace's end.
-func (c *Collector) StreamSpan(node, op, phase, detail string, duration float64) {
-	if c == nil {
-		return
-	}
-	start := c.now()
-	end := -1.0
-	if duration > 0 {
-		end = start + duration
-	}
-	c.StreamSpanAt(node, op, phase, detail, start, end)
-}
-
 // StreamSpanAt is StreamSpan with an explicit window, for phases whose
 // length is only known at completion — a drain's duration depends on the
 // backlog, so the runtime records the span once the drain finishes.
